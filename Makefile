@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test test-race test-short bench bench-sweep bench-obs bench-fault bench-hotpath bench-trace bench-replay bench-rowpress bench-serve fuzz race tables security examples check
+.PHONY: all build vet test test-race test-short bench bench-sweep bench-obs bench-fault bench-hotpath bench-trace bench-replay bench-rowpress bench-serve perfbench-build fuzz race tables security examples check
 
 all: check
 
@@ -39,11 +39,13 @@ bench-obs:
 	$(GO) test -run 'TestObsSmoke' -v .
 
 # Fault-injection suite (DESIGN.md §8): every wired fault site — sched
-# workers, the memctrl partitioner and replay goroutines, trace reads —
-# plus the checkpoint/resume acceptance tests that kill a sweep with an
-# injected fault and require byte-identical resumed output.
+# workers, the memctrl partitioner and replay goroutines, trace reads,
+# journal appends and compactions — plus the checkpoint/resume acceptance
+# tests that kill a sweep with an injected fault and require
+# byte-identical resumed output, and the serve journal's crash-cut,
+# corrupt-record and bounded-size tests.
 bench-fault:
-	$(GO) test -run 'FaultInject|Checkpoint' -v ./internal/faultinject ./internal/sched ./internal/memctrl ./internal/trace ./internal/sim ./cmd/rhsweep
+	$(GO) test -run 'FaultInject|Checkpoint|Journal|ResumeRecordFault|ResumeCorrupt' -v ./internal/faultinject ./internal/sched ./internal/memctrl ./internal/trace ./internal/sim ./internal/serve ./cmd/rhsweep
 
 # Replay hot-path gate (DESIGN.md §9): the testing.AllocsPerRun tests
 # assert the steady-state ACT loop allocates exactly zero, then the
@@ -119,6 +121,13 @@ bench-serve:
 	fi
 	rm -f BENCH_serve.txt
 
+# The repository benchmark (perfbench/, a module of its own that imports
+# this one) compiles against the public API of sched, serve, memctrl and
+# trace. Vetting and testing it here makes an API change fail make check
+# instead of the next benchmark run.
+perfbench-build:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+
 # Race detector over the packages that run per-bank goroutines and the
 # sweep worker pool, plus the mitigation stack fuzz seeds (FuzzStackAppend
 # runs its corpus as regular tests here). -short skips the tens-of-seconds
@@ -152,4 +161,4 @@ examples:
 	$(GO) run ./examples/pagepolicy
 	$(GO) run ./examples/observability
 
-check: build vet test race bench-sweep bench-fault bench-hotpath bench-trace bench-replay bench-rowpress bench-serve
+check: build vet test race bench-sweep bench-fault bench-hotpath bench-trace bench-replay bench-rowpress bench-serve perfbench-build

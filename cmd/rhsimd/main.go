@@ -152,6 +152,14 @@ func run(o options, logw io.Writer, ready chan<- string, stop <-chan os.Signal) 
 	fmt.Fprintf(logw, "rhsimd: served %d session(s), %d error(s), %d ACTs, %d bytes in; %d report(s) journaled\n",
 		snap.Counters["serve_sessions_total"], snap.Counters["serve_session_errors_total"],
 		snap.Counters["serve_acts_total"], snap.Counters["serve_bytes_in_total"], ck.Len())
+	if ck != nil {
+		st := ck.Stats()
+		fmt.Fprintf(logw, "rhsimd: journal: %d live record(s), %d of %d byte(s) live, %d compaction(s)\n",
+			st.Records, st.LiveBytes, st.FileBytes, st.Compactions)
+		if st.CompactErr != nil {
+			fmt.Fprintf(logw, "rhsimd: journal: last compaction failed, file left as it was: %v\n", st.CompactErr)
+		}
+	}
 	if dbg != nil {
 		sctx, scancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer scancel()

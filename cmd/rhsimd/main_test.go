@@ -92,7 +92,7 @@ func TestDaemonLifecycle(t *testing.T) {
 	}
 
 	out := logw.String()
-	for _, want := range []string{"listening on", "draining", "served 1 session(s), 0 error(s)", "1 report(s) journaled"} {
+	for _, want := range []string{"listening on", "draining", "served 1 session(s), 0 error(s)", "1 report(s) journaled", "journal: 1 live record(s)"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("daemon log misses %q:\n%s", want, out)
 		}

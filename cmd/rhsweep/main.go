@@ -175,7 +175,7 @@ func main() {
 	inj.SetRecorder(rec)
 	var ckpt *sched.Checkpoint
 	if *ckfile != "" {
-		if ckpt, err = sched.OpenCheckpoint(*ckfile); err != nil {
+		if ckpt, err = sched.OpenCheckpointWith(*ckfile, inj); err != nil {
 			fmt.Fprintln(os.Stderr, "rhsweep:", err)
 			os.Exit(2)
 		}

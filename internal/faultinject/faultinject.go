@@ -19,6 +19,7 @@
 //	memctrl.partition:error:5      partitioner fails at its 5th chunk
 //	memctrl.replay:delay=2ms:1     first drained chunk stalls 2 ms
 //	trace.read:error:p=0.01@7      reads fail with p=1% (seed 7)
+//	checkpoint.record:error:3      third journal append fails
 //
 // Hit counts are global per site across goroutines (a shared atomic), so
 // an Nth-hit trigger fires exactly once per Injector no matter how many
@@ -57,6 +58,17 @@ const (
 
 	// SiteTraceRead fires per Read of a Reader-wrapped trace source.
 	SiteTraceRead = "trace.read"
+
+	// SiteCheckpointRecord fires in sched.Checkpoint before each journal
+	// append (a record or a batch of tombstones); an injected error
+	// fails that append and leaves the journal unchanged.
+	SiteCheckpointRecord = "checkpoint.record"
+
+	// SiteCheckpointCompact fires in sched.Checkpoint after a compaction
+	// has written its temp file and before the rename that commits it;
+	// an injected error abandons the compaction, leaving the old journal
+	// in place.
+	SiteCheckpointCompact = "checkpoint.compact"
 )
 
 // ErrInjected is the sentinel wrapped by every injected error, so callers

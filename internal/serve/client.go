@@ -59,8 +59,10 @@ func (c *Client) Close() error { return c.conn.Close() }
 // With h.Resume set, src must be the FULL original trace stream: the
 // server answers the hello with a resume acknowledgment naming how many
 // segments its journal restored, and Run skips exactly that prefix of
-// src before streaming the remainder. Partial Reports (h.ReportEvery)
-// arrive through OnPartial either way.
+// src before streaming the remainder. If the session had already
+// finished, the server answers with its journaled final Report instead,
+// and Run returns that Report without streaming anything. Partial
+// Reports (h.ReportEvery) arrive through OnPartial either way.
 func (c *Client) Run(h Hello, src io.Reader) (Report, error) {
 	payload, err := json.Marshal(h)
 	if err != nil {
@@ -84,6 +86,9 @@ func (c *Client) Run(h Hello, src io.Reader) (Report, error) {
 		ack, err := c.readAck(fr)
 		if err != nil {
 			return Report{}, err
+		}
+		if !ack.Partial {
+			return ack, nil
 		}
 		br := bufio.NewReader(src)
 		if err := trace.SkipBinaryPrefix(br, ack.Segments); err != nil {
@@ -152,8 +157,9 @@ func (c *Client) Run(h Hello, src io.Reader) (Report, error) {
 	return Report{}, v.err
 }
 
-// readAck reads the resume acknowledgment: one partial RESULT frame with
-// Resumed set, or the server's ERROR.
+// readAck reads the answer to a resume hello: one partial RESULT frame
+// with Resumed set, a finished session's final RESULT, or the server's
+// ERROR.
 func (c *Client) readAck(fr *frameReader) (Report, error) {
 	typ, payload, err := fr.next(nil, MaxFramePayload)
 	if err != nil {
@@ -165,7 +171,7 @@ func (c *Client) readAck(fr *frameReader) (Report, error) {
 		if err := json.Unmarshal(payload, &rep); err != nil {
 			return Report{}, fmt.Errorf("serve: decoding resume ack: %w", err)
 		}
-		if !rep.Resumed {
+		if rep.Partial && !rep.Resumed {
 			return Report{}, fmt.Errorf("serve: resume ack missing resumed flag")
 		}
 		return rep, nil

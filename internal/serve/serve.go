@@ -243,7 +243,10 @@ type Config struct {
 	// under "tenant/session" — the drain-then-report record a SIGTERM'd
 	// daemon leaves behind — and, for sessions with ReportEvery set, the
 	// replayed raw segments under "resume/tenant/session/..." so a
-	// reconnecting client can continue where the interruption hit.
+	// reconnecting client can continue where the interruption hit. Once
+	// a session's final Report is journaled its resume records are
+	// tombstoned: resuming it again answers with that Report. Sessions
+	// are numbered past every handle the journal already holds.
 	// Nil-safe by sched.Checkpoint's contract.
 	Checkpoint *sched.Checkpoint
 
@@ -289,7 +292,7 @@ func New(cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, fmt.Errorf("serve: %w", err)
 	}
-	return &Server{
+	s := &Server{
 		cfg:       cfg,
 		ln:        ln,
 		pool:      sched.NewShards(cfg.Shards, cfg.ShardQueue, cfg.Obs),
@@ -301,7 +304,9 @@ func New(cfg Config) (*Server, error) {
 		closeCh:   make(chan struct{}),
 		conns:     map[net.Conn]struct{}{},
 		semaphore: make(chan struct{}, cfg.MaxTenants),
-	}, nil
+	}
+	s.seq.Store(lastJournaledSession(cfg.Checkpoint.Keys()))
+	return s, nil
 }
 
 // Addr returns the listener's actual address.
@@ -373,16 +378,21 @@ func (s *Server) track(c net.Conn, add bool) {
 // Shutdown drains the daemon: the listener closes immediately (no new
 // sessions), in-flight sessions run to completion — each shard finishing
 // its queue in submission order — and deliver their reports, and only
-// then does Shutdown return. If ctx expires first the remaining
-// connections are severed and ctx.Err() comes back — the
-// drain-then-report discipline rhsimd runs on SIGTERM.
+// then does Shutdown return. In-flight means admitted and not finished:
+// handshaking, queued or running. The drain log line counts them from
+// the server's own connection set, so it is right without Obs. If ctx
+// expires first the remaining connections are severed and ctx.Err()
+// comes back — the drain-then-report discipline rhsimd runs on SIGTERM.
 func (s *Server) Shutdown(ctx context.Context) error {
 	if s.closing.Swap(true) {
 		// Second call: just wait with the caller's deadline.
 	} else {
 		s.ln.Close()
 		close(s.closeCh)
-		s.logf("serve: draining %d active session(s)", s.active.Value())
+		s.connsMu.Lock()
+		n := len(s.conns)
+		s.connsMu.Unlock()
+		s.logf("serve: draining %d active session(s)", n)
 	}
 	done := make(chan struct{})
 	go func() {
@@ -443,6 +453,18 @@ func (s *Server) admit(conn net.Conn) {
 		release()
 		return
 	}
+	if sn.restored != nil && sn.restored.final != nil {
+		// The session already finished: its journaled final Report is
+		// the whole answer, and no replay runs.
+		if err := sn.writeReport(*sn.restored.final); err != nil {
+			s.errors.Inc()
+			s.logf("serve: session %d (%s): writing journaled result: %v", sn.handle, sn.h.Tenant, err)
+		} else {
+			s.logf("serve: session %d (%s): finished earlier, answered with its journaled report", sn.handle, sn.h.Tenant)
+		}
+		release()
+		return
+	}
 	if _, err := s.pool.Submit(sn.h.Tenant, sn.h.Tenant, func() {
 		sn.run()
 		release()
@@ -480,6 +502,10 @@ func (s *Server) handshake(conn net.Conn, fr *frameReader, id int64) (*session, 
 			return sn, err
 		}
 		sn.h, sn.restored, sn.handle = jh, restored, h.Resume.Session
+		if restored.final != nil {
+			return sn, nil
+		}
+		sn.chunks = restored.chunks
 	}
 
 	// The journaled hello is authoritative on resume, so the profile —
@@ -512,6 +538,7 @@ type session struct {
 	scheme   string
 	timing   dram.Timing   // the resolved device profile's timing
 	restored *restoreState // non-nil when resuming
+	chunks   int           // resume chunks journaled, restored ones included
 }
 
 // run executes the session on its shard: per-(tenant, bank) replay,
@@ -547,8 +574,14 @@ func (sn *session) run() {
 	rep.WallUS = time.Since(start).Microseconds()
 
 	s.acts.Add(rep.Result.ACTs)
-	if err := s.cfg.Checkpoint.Record(fmt.Sprintf("%s/%d", h.Tenant, sn.handle), rep); err != nil {
+	if err := s.cfg.Checkpoint.Record(reportKey(h.Tenant, sn.handle), rep); err != nil {
 		s.logf("serve: checkpoint: session %d (%s): %v", sn.handle, h.Tenant, err)
+	} else if h.ReportEvery > 0 {
+		// The Report now answers any resume of this session, so its
+		// resume records are dead weight.
+		if err := s.cfg.Checkpoint.Delete(resumeKeys(h.Tenant, sn.handle, sn.chunks)...); err != nil {
+			s.logf("serve: checkpoint: session %d (%s): dropping resume records: %v", sn.handle, h.Tenant, err)
+		}
 	}
 	s.cfg.Obs.Emit(obs.Event{Kind: obs.KindSessionFinish, Bank: -1, Label: h.Tenant, Value: sn.handle})
 
@@ -628,9 +661,10 @@ func (sn *session) replay() (Report, error) {
 				// Journal before reporting: a partial the client has seen
 				// is a resume point the journal is guaranteed to hold.
 				chunk := resumeChunk{Segments: every, Data: spool}
-				if err := s.cfg.Checkpoint.Record(resumeChunkKey(h.Tenant, sn.handle, n/every-1), chunk); err != nil {
+				if err := s.cfg.Checkpoint.Record(resumeChunkKey(h.Tenant, sn.handle, sn.chunks), chunk); err != nil {
 					return fmt.Errorf("journaling resume chunk: %w", err)
 				}
+				sn.chunks++
 				spool = spool[:0]
 			}
 			return sn.writeReport(Report{Tenant: h.Tenant, Session: sn.handle, Scheme: sn.scheme,
