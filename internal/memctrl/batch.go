@@ -49,10 +49,10 @@ func (s *bankState) replayRun(rows []int32, gaps, dwells []dram.Time, bi int, ou
 	// With no mitigator, oracle, or remap, nothing consumes per-ACT start
 	// times, so the horizon walk collapses to the bare occupancy recurrence
 	// with no scratch writes — the trigger-light floor the bench-replay gate
-	// asserts on. Rows were range-validated upstream (the streaming
-	// partitioner or the columnar block router), matching the protected
-	// path, which also defers the range check to its oracle/remap loop.
-	// A dwell column disqualifies the collapse: per-ACT occupancy varies.
+	// asserts on. Rows were range-validated upstream (replayColBlock),
+	// matching the protected path, which also defers the range check to
+	// its oracle/remap loop. A dwell column disqualifies the collapse:
+	// per-ACT occupancy varies.
 	pureTiming := s.mit == nil && s.oracle == nil && s.remap == nil && dwells == nil
 	for i < n {
 		if pureTiming {
@@ -237,25 +237,43 @@ func (s *bankState) replayRun(rows []int32, gaps, dwells []dram.Time, bi int, ou
 }
 
 // ColBlockSource streams a trace as columnar per-bank blocks — the shape
-// trace.BlockReader.NextCols produces. The contract mirrors BlockSource:
-// every row/gap pair of a returned block belongs to ColBlock.Bank in
-// stream order, buf's columns are reused for the block's backing storage,
-// and io.EOF marks a clean end of trace. A BlockSource that also
-// implements ColBlockSource (trace.BlockReader does) is replayed
-// columnarly by RunBlocks: decoded columns feed the batch core directly,
-// with no per-access structs materialized in between.
+// trace.BlockReader.NextCols produces, and the one ingest route into the
+// replay core. Every row/gap pair of a returned block belongs to
+// ColBlock.Bank in stream order, buf's columns are reused for the block's
+// backing storage, and io.EOF marks a clean end of trace. Run adapts a
+// trace.Generator into this shape with the serial partitioner in
+// partition.go.
 type ColBlockSource interface {
 	Name() string
 	NextCols(buf trace.ColBlock) (trace.ColBlock, error)
 }
 
-// replayColBlocks is replayBlocks for a columnar source: same router, same
-// shared buffer budget, same error discipline — only the payload shape and
-// the bank-side replay differ.
+// blockDepth is how many blocks may queue per bank before the router
+// blocks (backpressure). Blocks arrive pre-partitioned and carry up to a
+// segment's (or a partitioner chunk's) worth of one bank's accesses, so a
+// shallow queue is enough to keep banks busy while bounding peak memory.
+const blockDepth = 2
+
+// replayColBlocks routes src's blocks into per-bank channels drained by
+// one sched job per bank. Block buffers recycle through a shared free
+// pool: the router decodes into a recycled buffer, the bank job returns it
+// after replay, so steady-state allocation is O(banks × blockDepth)
+// buffers regardless of trace length.
+//
+// A bank job stores its first error in its bankOut and keeps draining
+// (never failing the pool, which would strand the router mid-send), and a
+// router error — decode failure, out-of-range access, injected partition
+// fault — fails the run even if every started bank replayed cleanly.
 func replayColBlocks(cfg Config, src ColBlockSource, states []*bankState) ([]bankOut, error) {
 	nbanks := len(states)
 	outs := make([]bankOut, nbanks)
 
+	// The budget covers every buffer that can be out at once: blockDepth
+	// queued plus one replaying per bank, plus the one the router is
+	// filling. The generator partitioner holds one more fill per bank, but
+	// it swaps each block it returns for the buffer it is handed, so its
+	// fills never draw on the budget. Buffers allocate lazily, so a trace
+	// touching few banks circulates few buffers.
 	budget := nbanks*(blockDepth+1) + 1
 	free := make(chan trace.ColBlock, budget)
 	made := 0
@@ -290,6 +308,8 @@ func replayColBlocks(cfg Config, src ColBlockSource, states []*bankState) ([]ban
 					// whole budget, so this send never blocks.
 					free <- trace.ColBlock{Rows: blk.Rows[:0], Gaps: blk.Gaps[:0], Dwells: blk.Dwells[:0]}
 				}
+				// Errors live in outs: failing the pool would cancel sibling
+				// jobs and strand the router mid-send.
 				return nil
 			},
 		}
@@ -312,6 +332,9 @@ func replayColBlocks(cfg Config, src ColBlockSource, states []*bankState) ([]ban
 					return err
 				}
 				if blk.Bank < 0 || blk.Bank >= nbanks {
+					// Route the whole block through the shared validator so
+					// the failure emits the same validate_fail event an
+					// out-of-range access does.
 					row := 0
 					if len(blk.Rows) > 0 {
 						row = int(blk.Rows[0])
@@ -326,6 +349,8 @@ func replayColBlocks(cfg Config, src ColBlockSource, states []*bankState) ([]ban
 		}()
 	}()
 
+	// Every job gets a worker (Jobs = nbanks = len(jobs)), so each bank's
+	// channel is guaranteed a drainer and the router cannot deadlock.
 	if err := sched.Run(sched.Options{Jobs: nbanks}, jobs); err != nil {
 		<-routed
 		return nil, err
@@ -336,13 +361,23 @@ func replayColBlocks(cfg Config, src ColBlockSource, states []*bankState) ([]ban
 	return outs, nil
 }
 
-// replayColBlock validates and replays one columnar block on its bank —
-// replayBlock's columnar twin: same checks and validate_fail events, same
-// panic recovery and fault site, same one progress event per block.
+// replayColBlock validates and replays one block on its bank. Validation
+// rides with the bank job, so the router stays on its decode hot path; it
+// emits the same validate_fail events and errors wherever it fires. A
+// panic anywhere in the replay (a buggy scheme, or an injected fault) is
+// recovered into the bank's error instead of crashing the process: the job
+// keeps draining and recycling blocks, so the router never deadlocks
+// behind a dead consumer.
+//
+// Blocks replay through the batched core (replayRun) — event-horizon runs,
+// one mitigator batch call and one bank accounting call per run. Banks
+// marked useScalar (CRA's per-ACT stall coupling, RFM) keep the per-ACT
+// reference loop.
 func replayColBlock(cfg Config, nbanks int, s *bankState, bi int, out *bankOut, blk trace.ColBlock) (err error) {
+	rows := cfg.Geometry.RowsPerBank
 	for _, r := range blk.Rows {
-		if err := validateAccess(cfg, nbanks, trace.Access{Bank: blk.Bank, Row: int(r)}); err != nil {
-			return err
+		if r < 0 || int(r) >= rows {
+			return validateAccess(cfg, nbanks, trace.Access{Bank: blk.Bank, Row: int(r)})
 		}
 	}
 	defer func() {
@@ -373,6 +408,9 @@ func replayColBlock(cfg Config, nbanks int, s *bankState, bi int, out *bankOut, 
 		return err
 	}
 	if cfg.Obs != nil {
+		// One progress event per drained block: coarse enough to stay off
+		// the per-ACT path, fine enough that a stuck sweep is visible
+		// mid-run.
 		scheme := "none"
 		if s.mit != nil {
 			scheme = s.mit.Name()

@@ -1,7 +1,6 @@
 package memctrl
 
 import (
-	"reflect"
 	"strings"
 	"testing"
 
@@ -12,43 +11,11 @@ import (
 	"graphene/internal/trr"
 )
 
-// structOnlySource hides trace.BlockReader's columnar decoder, so the
-// struct-block router (replayBlocks) keeps differential coverage now that
-// RunBlocks prefers the columnar path for sources that offer it.
-type structOnlySource struct{ br *trace.BlockReader }
-
-func (s structOnlySource) Name() string { return s.br.Name() }
-func (s structOnlySource) Next(buf []trace.Access) (trace.Block, error) {
-	return s.br.Next(buf)
-}
-
-// TestBlockStructRouterMatchesBuffered pins the struct-block ingest path
-// against the buffered oracle over every differential fixture — the same
-// gate TestBlockDirectMatchesBuffered applies to the columnar path.
-func TestBlockStructRouterMatchesBuffered(t *testing.T) {
-	for _, tc := range diffCases(t) {
-		tc := tc
-		t.Run(tc.name, func(t *testing.T) {
-			want, err := runBuffered(tc.mkCfg(), tc.mkGen())
-			if err != nil {
-				t.Fatalf("buffered: %v", err)
-			}
-			got, err := RunBlocks(tc.mkCfg(), structOnlySource{blockSourceFor(t, tc.mkGen())})
-			if err != nil {
-				t.Fatalf("struct-block: %v", err)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("struct-block result diverges from buffered:\n got %+v\nwant %+v", got, want)
-			}
-		})
-	}
-}
-
 // TestReplayBatchZeroAlloc is TestReplayHotPathZeroAlloc for the batched
-// replay core: after warmup, a chunk replay through replayRun — horizon
-// slicing, mitigator batch, oracle prefix, ActivateRun, refresh apply —
-// performs no heap allocation at all (the AllocsPerRun acceptance floor of
-// ISSUE 7).
+// replay core: after warmup, a block replay through replayColBlock — row
+// validation, then replayRun's horizon slicing, mitigator batch, oracle
+// prefix, ActivateRun, refresh apply — performs no heap allocation at all
+// (testing.AllocsPerRun must report exactly 0).
 func TestReplayBatchZeroAlloc(t *testing.T) {
 	timing := dram.DDR4()
 	cases := []struct {
@@ -64,7 +31,7 @@ func TestReplayBatchZeroAlloc(t *testing.T) {
 			trr.Factory(trr.Config{Rows: hotRows, Seed: 7}),
 			graphene.Factory(graphene.Config{TRH: 50000, K: 2, Rows: hotRows, Timing: timing}),
 		), false, 0},
-		// Dwell-column legs: the transposed column, the per-ACT ActCycle
+		// Dwell-column legs: the dwell column, the per-ACT ActCycle
 		// horizon walk, and the rowpress weighted-observe path must all
 		// stay allocation-free too.
 		{"unprotected-dwell", nil, false, timing.NRAS()},
@@ -76,33 +43,45 @@ func TestReplayBatchZeroAlloc(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			s := hotState(t, tc.factory)
 			var out bankOut
-			cfg := Config{}
-			const chunkLen = 512
-			chunk := make([]trace.Access, chunkLen)
+			cfg := Config{Geometry: oneBank(hotRows)}
+			const blockLen = 512
+			// One recycled block, refilled in place the way the router
+			// recycles a decoded block's columns.
+			blk := trace.ColBlock{
+				Rows: make([]int32, blockLen),
+				Gaps: make([]dram.Time, blockLen),
+			}
+			if tc.dwell != 0 {
+				blk.Dwells = make([]dram.Time, blockLen)
+			}
 			fill := func(base int) {
-				for j := range chunk {
-					chunk[j] = trace.Access{Row: hotRow(base+j, tc.hammerPair), Gap: 50 * dram.Nanosecond, Dwell: tc.dwell}
+				for j := range blk.Rows {
+					blk.Rows[j] = int32(hotRow(base+j, tc.hammerPair))
+					blk.Gaps[j] = 50 * dram.Nanosecond
+				}
+				for j := range blk.Dwells {
+					blk.Dwells[j] = tc.dwell
 				}
 			}
-			// Warm every recycled buffer: the columnar transpose, the run
-			// time scratch, scheme tables, vrScratch, flipStage, and (in
-			// the trigger-heavy case) the NRR apply path.
+			// Warm every recycled buffer: the run time scratch, scheme
+			// tables, vrScratch, flipStage, and (in the trigger-heavy case)
+			// the NRR apply path.
 			i := 0
 			for ; i < 16; i++ {
-				fill(i * chunkLen)
-				if err := replayChunk(cfg, s, 0, &out, chunk); err != nil {
+				fill(i * blockLen)
+				if err := replayColBlock(cfg, 1, s, 0, &out, blk); err != nil {
 					t.Fatal(err)
 				}
 			}
 			allocs := testing.AllocsPerRun(50, func() {
-				fill(i * chunkLen)
+				fill(i * blockLen)
 				i++
-				if err := replayChunk(cfg, s, 0, &out, chunk); err != nil {
+				if err := replayColBlock(cfg, 1, s, 0, &out, blk); err != nil {
 					t.Fatal(err)
 				}
 			})
 			if allocs != 0 {
-				t.Errorf("batched replayChunk allocated %.2f times per chunk, want exactly 0", allocs)
+				t.Errorf("batched replayColBlock allocated %.2f times per block, want exactly 0", allocs)
 			}
 		})
 	}

@@ -58,10 +58,10 @@ type Config struct {
 	Obs *obs.Recorder
 
 	// Fault, when non-nil, arms the replay's fault-injection points
-	// (DESIGN.md §8): faultinject.SitePartition in the streaming
-	// partitioner at every chunk handoff and faultinject.SiteReplay in
-	// each bank goroutine at every chunk drain. Nil (the default) costs
-	// one nil check per chunk, never per ACT.
+	// (DESIGN.md §8): faultinject.SitePartition in the block router at
+	// every block handoff and faultinject.SiteReplay in each bank job at
+	// every block drain. Nil (the default) costs one nil check per block,
+	// never per ACT.
 	Fault *faultinject.Injector
 }
 
@@ -175,21 +175,15 @@ type bankState struct {
 	flipStage    []hammer.Flip
 	remapScratch []int
 
-	// useScalar routes this bank's chunks through the per-ACT reference
+	// useScalar routes this bank's blocks through the per-ACT reference
 	// loop instead of the batched replay core (batch.go): set for schemes
 	// whose extra-DRAM-traffic stall must interleave with every ACT
-	// (CRA's counter cache) and for geometries whose rows overflow the
-	// batch path's int32 columns.
+	// (CRA's counter cache) and for RFM banks.
 	useScalar bool
 
-	// Columnar batch scratch (DESIGN.md §11): colRows/colGaps/colDwells
-	// hold a struct chunk transposed for the batch core (colDwells only
-	// fills for chunks that carry an open-row dwell); runTimes holds the
-	// precomputed ACT start times of the current event-horizon run.
-	colRows   []int32
-	colGaps   []dram.Time
-	colDwells []dram.Time
-	runTimes  []dram.Time
+	// runTimes holds the precomputed ACT start times of the current
+	// event-horizon run (DESIGN.md §11).
+	runTimes []dram.Time
 
 	// Batch-of-one scratch: the scalar replayOne routes a dwell-carrying
 	// ACT through the mitigator's batch entry point (the only one that
@@ -207,30 +201,34 @@ func (s *bankState) phys(row int) int {
 	return s.remap.ToPhysical(row)
 }
 
-// Run replays gen to completion under cfg. The trace is streamed into the
-// per-bank replay goroutines through bounded chunked channels (stream.go),
-// so memory stays O(banks × chunk) regardless of trace length.
+// Run replays gen to completion under cfg. A serial partitioner
+// (partition.go) cuts the trace into per-bank columnar blocks, which take
+// RunBlocks' route into the per-bank replay jobs, so memory stays
+// O(banks × streamChunk) regardless of trace length.
 func Run(cfg Config, gen trace.Generator) (Result, error) {
 	return run(cfg, gen.Name(), func(cfg Config, states []*bankState) ([]bankOut, error) {
-		return replayStreaming(cfg, gen, states)
+		src := &genSource{cfg: cfg, gen: gen, fills: make([]trace.ColBlock, len(states)), flush: -1}
+		return replayColBlocks(cfg, src, states)
 	})
 }
 
-// runBuffered replays through the original O(total ACTs)-memory path that
-// materialized the whole stream into per-bank slices before replaying. The
-// differential tests keep it as the oracle for the streaming path.
-func runBuffered(cfg Config, gen trace.Generator) (Result, error) {
-	return run(cfg, gen.Name(), func(cfg Config, states []*bankState) ([]bankOut, error) {
-		return replayBuffered(cfg, gen, states)
+// RunBlocks replays a pre-partitioned columnar block stream to completion
+// under cfg. It is Run for the binary trace format: the serial partitioner
+// disappears — the router hands each decoded block straight to its bank's
+// replay job — and per-bank access order is the block stream's order, so
+// the Result is byte-identical to Run over the same trace (the golden
+// differential suite pins this for every recorded scheme×workload cell).
+func RunBlocks(cfg Config, src ColBlockSource) (Result, error) {
+	return run(cfg, src.Name(), func(cfg Config, states []*bankState) ([]bankOut, error) {
+		return replayColBlocks(cfg, src, states)
 	})
 }
 
-// replayFunc partitions the trace across the per-bank goroutines and
+// replayFunc partitions the trace across the per-bank replay jobs and
 // replays it, returning one bankOut per bank. Implementations must
 // preserve the per-bank access order and must not touch states after
-// returning. The generator-driven strategies (stream.go, buffered.go) are
-// adapted into this shape by the entry points above; the block-direct path
-// (blocks.go) pulls from a BlockSource instead.
+// returning. Run and RunBlocks both route through replayColBlocks; the
+// seam exists for the scalar differential oracle the tests plug in.
 type replayFunc func(cfg Config, states []*bankState) ([]bankOut, error)
 
 // bankOut is one bank goroutine's share of the run.
@@ -242,8 +240,9 @@ type bankOut struct {
 
 // validateAccess bounds-checks one access against the configured geometry.
 // A rejected access is also reported as a validate_fail event: a sweep
-// watching the event stream sees the failure the moment the partitioner
-// hits it, not when the run's error finally surfaces.
+// watching the event stream sees the failure the moment the replay hits
+// it, not when the run's error finally surfaces. It copies cfg, so the
+// per-ACT loops compare inline and call it only to report a failure.
 func validateAccess(cfg Config, nbanks int, a trace.Access) error {
 	err := func() error {
 		if a.Bank < 0 || a.Bank >= nbanks {
@@ -270,6 +269,11 @@ func run(cfg Config, workload string, replay replayFunc) (Result, error) {
 		return Result{}, err
 	}
 
+	if cfg.Geometry.RowsPerBank > math.MaxInt32 {
+		// The replay carries rows in int32 columns, and each bank's refresh
+		// bookkeeping is 8 bytes per row: fail before allocating any of it.
+		return Result{}, fmt.Errorf("memctrl: %d rows per bank overflow the replay's int32 row columns", cfg.Geometry.RowsPerBank)
+	}
 	if cfg.Remap != nil && cfg.Remap.Rows() != cfg.Geometry.RowsPerBank {
 		return Result{}, fmt.Errorf("memctrl: remapper covers %d rows, bank has %d", cfg.Remap.Rows(), cfg.Geometry.RowsPerBank)
 	}
@@ -313,8 +317,7 @@ func run(cfg Config, workload string, replay replayFunc) (Result, error) {
 		// RFM (DDR5) banks also replay scalar: the RAA threshold check
 		// interleaves with every ACT, which the batched event-horizon walk
 		// cannot express without forking its timing recurrence.
-		s.useScalar = s.extraFn != nil || cfg.Geometry.RowsPerBank > math.MaxInt32 ||
-			cfg.Timing.RAAIMT > 0
+		s.useScalar = s.extraFn != nil || cfg.Timing.RAAIMT > 0
 		states[i] = s
 	}
 

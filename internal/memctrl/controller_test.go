@@ -1,6 +1,10 @@
 package memctrl
 
 import (
+	"math"
+	"runtime"
+	"strconv"
+	"strings"
 	"testing"
 
 	"graphene/internal/cra"
@@ -23,6 +27,26 @@ func smallTiming() dram.Timing {
 
 func oneBank(rows int) dram.Geometry {
 	return dram.Geometry{Channels: 1, RanksPerChan: 1, BanksPerRank: 1, RowsPerBank: rows}
+}
+
+// TestRunRejectsInt32OverflowRows: a geometry whose rows overflow the
+// replay's int32 row columns must fail Run loudly, before any bank
+// allocates its per-row refresh bookkeeping (8 B × 2³¹ rows).
+func TestRunRejectsInt32OverflowRows(t *testing.T) {
+	if strconv.IntSize < 64 {
+		t.Skip("int cannot hold more than MaxInt32 rows")
+	}
+	rows := int64(math.MaxInt32) + 1
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := Run(Config{Geometry: oneBank(int(rows)), Timing: smallTiming()}, trace.FromSlice("big", nil))
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), "int32") {
+		t.Fatalf("err = %v, want an int32 row-overflow error", err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Errorf("rejected run allocated %d bytes, want under 1 MiB", grew)
+	}
 }
 
 func TestBaselineRunAccounting(t *testing.T) {

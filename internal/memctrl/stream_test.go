@@ -136,6 +136,33 @@ func diffCases(t *testing.T) []diffCase {
 		},
 	})
 
+	// Open-row dwell that first appears mid-block: the generator
+	// partitioner must backfill the block's earlier ACTs with 0, and the
+	// codec's dwell-free first segment must stay column-free.
+	cases = append(cases, diffCase{
+		name: "dwell/mid-block",
+		mkCfg: func() Config {
+			return Config{
+				Geometry: multi, Timing: timing, TRH: trh,
+				Factory: graphene.Factory(graphene.Config{TRH: trh, K: 2, Rows: multi.RowsPerBank, Timing: timing, Rowpress: true}),
+			}
+		},
+		mkGen: func() trace.Generator {
+			var i int64
+			return trace.FromFunc("dwell", func() (trace.Access, bool) {
+				if i >= 70_000 {
+					return trace.Access{}, false
+				}
+				i++
+				a := trace.Access{Bank: int(i % 3), Row: int((i * 29) % 512), Gap: dram.Time(i%5) * dram.Nanosecond}
+				if i > 1000 && i%7 == 0 {
+					a.Dwell = dram.Time(i%4) * timing.NRAS()
+				}
+				return a, true
+			})
+		},
+	})
+
 	// Chunk-boundary lengths: empty trace, one access, one access around a
 	// full chunk, and several chunks plus a partial tail.
 	for _, n := range []int{0, 1, streamChunk - 1, streamChunk, streamChunk + 1, 3*streamChunk + 7} {

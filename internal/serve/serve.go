@@ -262,10 +262,10 @@ type Server struct {
 	ln   net.Listener
 	pool *sched.Shards
 
-	sessions  *obs.Counter
-	errors    *obs.Counter
-	acts      *obs.Counter
-	bytesIn   *obs.Counter
+	sessions  tally
+	errors    tally
+	acts      tally
+	bytesIn   tally
 	active    *obs.Gauge
 	seq       atomic.Int64
 	closing   atomic.Bool
@@ -296,10 +296,10 @@ func New(cfg Config) (*Server, error) {
 		cfg:       cfg,
 		ln:        ln,
 		pool:      sched.NewShards(cfg.Shards, cfg.ShardQueue, cfg.Obs),
-		sessions:  cfg.Obs.Counter("serve_sessions_total"),
-		errors:    cfg.Obs.Counter("serve_session_errors_total"),
-		acts:      cfg.Obs.Counter("serve_acts_total"),
-		bytesIn:   cfg.Obs.Counter("serve_bytes_in_total"),
+		sessions:  tally{obs: cfg.Obs.Counter("serve_sessions_total")},
+		errors:    tally{obs: cfg.Obs.Counter("serve_session_errors_total")},
+		acts:      tally{obs: cfg.Obs.Counter("serve_acts_total")},
+		bytesIn:   tally{obs: cfg.Obs.Counter("serve_bytes_in_total")},
 		active:    cfg.Obs.Gauge("serve_tenants_active"),
 		closeCh:   make(chan struct{}),
 		conns:     map[net.Conn]struct{}{},
@@ -307,6 +307,32 @@ func New(cfg Config) (*Server, error) {
 	}
 	s.seq.Store(lastJournaledSession(cfg.Checkpoint.Keys()))
 	return s, nil
+}
+
+// tally is one lifetime session counter. The server keeps it itself, so
+// its totals never depend on an optional metric, and mirrors it into the
+// Obs counter of the same name.
+type tally struct {
+	n   atomic.Int64
+	obs *obs.Counter
+}
+
+func (t *tally) Add(n int64) { t.n.Add(n); t.obs.Add(n) }
+func (t *tally) Inc()        { t.Add(1) }
+
+// Totals are the server's lifetime session counters.
+type Totals struct {
+	Sessions, Errors, ACTs, BytesIn int64
+}
+
+// Totals returns the session counters so far, with or without Obs.
+func (s *Server) Totals() Totals {
+	return Totals{
+		Sessions: s.sessions.n.Load(),
+		Errors:   s.errors.n.Load(),
+		ACTs:     s.acts.n.Load(),
+		BytesIn:  s.bytesIn.n.Load(),
+	}
 }
 
 // Addr returns the listener's actual address.
@@ -438,9 +464,7 @@ func (s *Server) admit(conn net.Conn) {
 		extend: func() {
 			conn.SetReadDeadline(time.Now().Add(s.cfg.IdleTimeout))
 		},
-	}
-	if c := s.bytesIn; c != nil {
-		fr.count = c.Add
+		count: s.bytesIn.Add,
 	}
 
 	sn, err := s.handshake(conn, fr, id)

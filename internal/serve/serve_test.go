@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -351,16 +352,44 @@ func TestConcurrentTenants(t *testing.T) {
 	}
 }
 
+// startSignal is an obs sink that closes started when a session of tenant
+// begins running. The server tracks a connection before it runs the
+// session, so the event proves the connection left the accept backlog.
+type startSignal struct {
+	tenant  string
+	once    sync.Once
+	started chan struct{}
+}
+
+func (s *startSignal) Emit(e obs.Event) {
+	if e.Kind == obs.KindSessionStart && e.Label == s.tenant {
+		s.once.Do(func() { close(s.started) })
+	}
+}
+
 // TestShutdownDrains pins the SIGTERM discipline: Shutdown must wait for
 // an in-flight session to deliver its report, and the checkpoint journal
-// must carry it.
+// must carry it. Only admitted sessions are in flight: a connection still
+// in the kernel's accept backlog when Shutdown begins may be reset
+// (DESIGN.md §12), so the test waits for the session to start first.
 func TestShutdownDrains(t *testing.T) {
 	ck, err := sched.OpenCheckpoint(t.TempDir() + "/sessions.ckpt")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ck.Close()
-	s, err := New(Config{Addr: "127.0.0.1:0", Checkpoint: ck})
+	rec := obs.New()
+	sig := &startSignal{tenant: "drainee", started: make(chan struct{})}
+	rec.SetSink(sig)
+	// Shutdown logs its draining line after it has closed the listener.
+	draining := make(chan struct{})
+	var drainOnce sync.Once
+	logf := func(format string, args ...any) {
+		if strings.HasPrefix(format, "serve: draining") {
+			drainOnce.Do(func() { close(draining) })
+		}
+	}
+	s, err := New(Config{Addr: "127.0.0.1:0", Checkpoint: ck, Obs: rec, Logf: logf})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -383,6 +412,17 @@ func TestShutdownDrains(t *testing.T) {
 	if err := writeFrame(c2.conn, FrameData, data[:half]); err != nil {
 		t.Fatal(err)
 	}
+	select {
+	case <-sig.started:
+	case <-time.After(10 * time.Second):
+		t.Fatal("session never started")
+	}
+	s.connsMu.Lock()
+	tracked := len(s.conns)
+	s.connsMu.Unlock()
+	if tracked != 1 {
+		t.Fatalf("server tracks %d connections before Shutdown, want 1", tracked)
+	}
 
 	shutdownDone := make(chan error, 1)
 	go func() {
@@ -391,17 +431,14 @@ func TestShutdownDrains(t *testing.T) {
 		shutdownDone <- s.Shutdown(ctx)
 	}()
 	// New connections must be refused once draining starts.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		probe, err := Dial(s.Addr())
-		if err != nil {
-			break
-		}
+	select {
+	case <-draining:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Shutdown never started draining")
+	}
+	if probe, err := Dial(s.Addr()); err == nil {
 		probe.Close()
-		if time.Now().After(deadline) {
-			t.Fatal("listener still accepting after Shutdown started")
-		}
-		time.Sleep(10 * time.Millisecond)
+		t.Fatal("listener still accepting after Shutdown started")
 	}
 	// Finish the in-flight stream; the drain must deliver its report.
 	if err := writeFrame(c2.conn, FrameData, data[half:]); err != nil {

@@ -17,8 +17,9 @@ func benchFixture() []Access {
 // BenchmarkTraceCodec compares parse throughput of the two on-disk
 // formats over the same access stream. parse-text is the old hot path
 // (per-line strconv); parse-binary is ReadBinary including global-order
-// reconstruction; decode-blocks is the replay ingest path (BlockReader,
-// no order reconstruction). make bench-trace records these and rhbench
+// reconstruction; decode-blocks is the replay ingest path
+// (BlockReader.NextCols, the decoder memctrl.RunBlocks pulls from, no
+// order reconstruction). make bench-trace records these and rhbench
 // -assert-speedup gates the ≥10× binary-vs-text target.
 func BenchmarkTraceCodec(b *testing.B) {
 	accs := benchFixture()
@@ -68,7 +69,7 @@ func BenchmarkTraceCodec(b *testing.B) {
 
 	b.Run("decode-blocks", func(b *testing.B) {
 		b.SetBytes(int64(bin.Len()))
-		var buf []Access
+		var buf ColBlock
 		for i := 0; i < b.N; i++ {
 			br, err := NewBlockReader(bytes.NewReader(bin.Bytes()))
 			if err != nil {
@@ -76,15 +77,14 @@ func BenchmarkTraceCodec(b *testing.B) {
 			}
 			var n int64
 			for {
-				blk, err := br.Next(buf[:0])
+				buf, err = br.NextCols(buf)
 				if err == io.EOF {
 					break
 				}
 				if err != nil {
 					b.Fatal(err)
 				}
-				n += int64(len(blk.Accs))
-				buf = blk.Accs
+				n += int64(len(buf.Rows))
 			}
 			if n != int64(len(accs)) {
 				b.Fatalf("decoded %d accesses", n)

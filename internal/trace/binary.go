@@ -444,6 +444,8 @@ type BlockReader struct {
 	prevGap   []int64
 	prevDwell []int64 // advances only across dwell-carrying segments
 
+	view ColBlock // Next's recycled columns
+
 	payload     []byte // current segment bytes, reused
 	off         int    // decode cursor within payload
 	segOpen     bool   // a segment's run list is still pending
@@ -542,31 +544,23 @@ func (br *BlockReader) uvarint(what string) (uint64, error) {
 	return v, nil
 }
 
-// Next decodes the next block, appending its accesses to buf[:0] (pass
-// nil to allocate). It returns io.EOF after the end marker of a complete,
-// length-consistent stream; a torn tail or any malformed field is a
-// non-EOF error.
+// Next decodes the next block as Access structs appended to buf[:0] (pass
+// nil to allocate). It is a view over NextCols through the reader's own
+// recycled ColBlock, so both share one decoder and one delta-state cursor
+// and may be interleaved freely. It returns io.EOF after the end marker of
+// a complete, length-consistent stream; a torn tail or any malformed field
+// is a non-EOF error.
 func (br *BlockReader) Next(buf []Access) (Block, error) {
-	if br.done {
-		return Block{}, io.EOF
+	cb, err := br.NextCols(br.view)
+	if err != nil {
+		return Block{}, err
 	}
-	for br.blocksLeft == 0 {
-		if br.segOpen {
-			// Finish the open segment: its run list must replay exactly
-			// the blocks it came with.
-			if _, err := br.runList(nil, false); err != nil {
-				return Block{}, err
-			}
-			continue
-		}
-		if err := br.nextSegment(); err != nil {
-			if err == io.EOF {
-				br.done = true
-			}
-			return Block{}, err
-		}
+	br.view = cb
+	accs := buf[:0]
+	for i := range cb.Rows {
+		accs = append(accs, cb.access(i))
 	}
-	return br.decodeBlock(buf)
+	return Block{Bank: cb.Bank, Accs: accs}, nil
 }
 
 // nextSegment reads the next segment payload, returning io.EOF on a clean
@@ -620,8 +614,6 @@ func (br *BlockReader) nextSegment() error {
 
 // blockHead parses and validates the bank/count header of the next block
 // in the open segment, growing the per-bank delta state to cover the bank.
-// Shared by the struct (decodeBlock) and columnar (decodeBlockCols)
-// decoders so the hostile-field checks exist once.
 func (br *BlockReader) blockHead() (bank, count int, err error) {
 	bank64, err := br.uvarint("bank")
 	if err != nil {
@@ -655,128 +647,6 @@ func (br *BlockReader) blockHead() (bank, count int, err error) {
 	return bank, int(count64), nil
 }
 
-// blockDone records a fully decoded block in the segment accounting.
-func (br *BlockReader) blockDone(bank, count int) {
-	br.segBlocks = append(br.segBlocks, segBlock{bank: bank, count: int64(count)})
-	br.blocksLeft--
-	br.segAccs += int64(count)
-	br.decoded += int64(count)
-}
-
-// decodeBlock decodes one block from the open segment into buf[:0].
-func (br *BlockReader) decodeBlock(buf []Access) (Block, error) {
-	bank, count, err := br.blockHead()
-	if err != nil {
-		return Block{}, err
-	}
-	accs := buf[:0]
-	if cap(accs) < int(count) {
-		accs = make([]Access, count)
-	} else {
-		accs = accs[:count]
-	}
-	// The two column loops below are the decoder's per-access hot path —
-	// the throughput `make bench-trace` gates — so the varints decode
-	// inline with a single-byte fast path (most deltas are small) instead
-	// of through the method helpers, and the cursor lives in a local.
-	p, off := br.payload, br.off
-	prev := br.prevRow[bank]
-	for i := range accs {
-		if off >= len(p) {
-			return Block{}, binErrf("segment: truncated row delta")
-		}
-		c := p[off]
-		off++
-		u := uint64(c)
-		if c >= 0x80 {
-			u &= 0x7f
-			for shift := uint(7); ; shift += 7 {
-				if off >= len(p) || shift > 63 {
-					return Block{}, binErrf("segment: truncated row delta")
-				}
-				c = p[off]
-				off++
-				u |= uint64(c&0x7f) << shift
-				if c < 0x80 {
-					break
-				}
-			}
-		}
-		row := prev + (int64(u>>1) ^ -int64(u&1)) // zigzag decode
-		if row < 0 || row > MaxRow {
-			return Block{}, binErrf("segment: %w", checkLimits(int64(bank), row, 0))
-		}
-		prev = row
-		accs[i] = Access{Bank: bank, Row: int(row)}
-	}
-	br.prevRow[bank] = prev
-	prev = br.prevGap[bank]
-	for i := range accs {
-		if off >= len(p) {
-			return Block{}, binErrf("segment: truncated gap delta")
-		}
-		c := p[off]
-		off++
-		u := uint64(c)
-		if c >= 0x80 {
-			u &= 0x7f
-			for shift := uint(7); ; shift += 7 {
-				if off >= len(p) || shift > 63 {
-					return Block{}, binErrf("segment: truncated gap delta")
-				}
-				c = p[off]
-				off++
-				u |= uint64(c&0x7f) << shift
-				if c < 0x80 {
-					break
-				}
-			}
-		}
-		gap := prev + (int64(u>>1) ^ -int64(u&1))
-		if gap < 0 {
-			return Block{}, binErrf("segment: %w", checkLimits(int64(bank), 0, gap))
-		}
-		prev = gap
-		accs[i].Gap = dram.Time(gap)
-	}
-	br.prevGap[bank] = prev
-	if br.segHasDwell {
-		prev = br.prevDwell[bank]
-		for i := range accs {
-			if off >= len(p) {
-				return Block{}, binErrf("segment: truncated dwell delta")
-			}
-			c := p[off]
-			off++
-			u := uint64(c)
-			if c >= 0x80 {
-				u &= 0x7f
-				for shift := uint(7); ; shift += 7 {
-					if off >= len(p) || shift > 63 {
-						return Block{}, binErrf("segment: truncated dwell delta")
-					}
-					c = p[off]
-					off++
-					u |= uint64(c&0x7f) << shift
-					if c < 0x80 {
-						break
-					}
-				}
-			}
-			dwell := prev + (int64(u>>1) ^ -int64(u&1))
-			if dwell < 0 {
-				return Block{}, binErrf("segment: %w", checkDwell(dwell))
-			}
-			prev = dwell
-			accs[i].Dwell = dram.Time(dwell)
-		}
-		br.prevDwell[bank] = prev
-	}
-	br.off = off
-	br.blockDone(bank, count)
-	return Block{Bank: bank, Accs: accs}, nil
-}
-
 // ColBlock is one bank's slice of a segment in columnar layout: Rows[i] at
 // Gaps[i] is the bank's i-th access of the block, in stream order. Rows fit
 // int32 because the shared limits cap row addresses at MaxRow = 2³¹−1 —
@@ -797,17 +667,28 @@ type ColBlock struct {
 	Dwells []dram.Time
 }
 
+// access returns the block's i-th access as a struct.
+func (b *ColBlock) access(i int) Access {
+	a := Access{Bank: b.Bank, Row: int(b.Rows[i]), Gap: b.Gaps[i]}
+	if len(b.Dwells) != 0 {
+		a.Dwell = b.Dwells[i]
+	}
+	return a
+}
+
 // NextCols decodes the next block columnarly, appending into buf's columns
-// (pass the zero ColBlock to allocate). Block order, validation, and the
-// io.EOF end-of-trace contract match Next exactly; only the output layout
-// differs. Next and NextCols may be interleaved freely — delta state
-// advances identically through either.
+// (pass the zero ColBlock to allocate). It is the reader's one block
+// decoder: Next and ReadBinary are views over it. It returns io.EOF after
+// the end marker of a complete, length-consistent stream; a torn tail or
+// any malformed field is a non-EOF error.
 func (br *BlockReader) NextCols(buf ColBlock) (ColBlock, error) {
 	if br.done {
 		return ColBlock{}, io.EOF
 	}
 	for br.blocksLeft == 0 {
 		if br.segOpen {
+			// Finish the open segment: its run list must replay exactly
+			// the blocks it came with.
 			if _, err := br.runList(nil, false); err != nil {
 				return ColBlock{}, err
 			}
@@ -824,128 +705,93 @@ func (br *BlockReader) NextCols(buf ColBlock) (ColBlock, error) {
 }
 
 // decodeBlockCols decodes one block from the open segment into buf's
-// columns. The column loops mirror decodeBlock's inline-varint hot path;
-// they diverge only in writing split int32/Time columns instead of Access
-// structs.
+// columns.
 func (br *BlockReader) decodeBlockCols(buf ColBlock) (ColBlock, error) {
 	bank, count, err := br.blockHead()
 	if err != nil {
 		return ColBlock{}, err
 	}
-	rows := buf.Rows[:0]
-	if cap(rows) < count {
-		rows = make([]int32, count)
-	} else {
-		rows = rows[:count]
+	b := int64(bank)
+	rows, gaps, dwells := resize(buf.Rows, count), resize(buf.Gaps, count), buf.Dwells[:0]
+	off, row, ok := deltaColumn(br.payload, br.off, br.prevRow[bank], MaxRow, rows)
+	if !ok {
+		return ColBlock{}, columnErr(off, "row", checkLimits(b, row, 0))
 	}
-	gaps := buf.Gaps[:0]
-	if cap(gaps) < count {
-		gaps = make([]dram.Time, count)
-	} else {
-		gaps = gaps[:count]
+	off, gap, ok := deltaColumn(br.payload, off, br.prevGap[bank], MaxGap, gaps)
+	if !ok {
+		return ColBlock{}, columnErr(off, "gap", checkLimits(b, 0, gap))
 	}
-	p, off := br.payload, br.off
-	prev := br.prevRow[bank]
-	for i := range rows {
-		if off >= len(p) {
-			return ColBlock{}, binErrf("segment: truncated row delta")
-		}
-		c := p[off]
-		off++
-		u := uint64(c)
-		if c >= 0x80 {
-			u &= 0x7f
-			for shift := uint(7); ; shift += 7 {
-				if off >= len(p) || shift > 63 {
-					return ColBlock{}, binErrf("segment: truncated row delta")
-				}
-				c = p[off]
-				off++
-				u |= uint64(c&0x7f) << shift
-				if c < 0x80 {
-					break
-				}
-			}
-		}
-		row := prev + (int64(u>>1) ^ -int64(u&1)) // zigzag decode
-		if row < 0 || row > MaxRow {
-			return ColBlock{}, binErrf("segment: %w", checkLimits(int64(bank), row, 0))
-		}
-		prev = row
-		rows[i] = int32(row)
-	}
-	br.prevRow[bank] = prev
-	prev = br.prevGap[bank]
-	for i := range gaps {
-		if off >= len(p) {
-			return ColBlock{}, binErrf("segment: truncated gap delta")
-		}
-		c := p[off]
-		off++
-		u := uint64(c)
-		if c >= 0x80 {
-			u &= 0x7f
-			for shift := uint(7); ; shift += 7 {
-				if off >= len(p) || shift > 63 {
-					return ColBlock{}, binErrf("segment: truncated gap delta")
-				}
-				c = p[off]
-				off++
-				u |= uint64(c&0x7f) << shift
-				if c < 0x80 {
-					break
-				}
-			}
-		}
-		gap := prev + (int64(u>>1) ^ -int64(u&1))
-		if gap < 0 {
-			return ColBlock{}, binErrf("segment: %w", checkLimits(int64(bank), 0, gap))
-		}
-		prev = gap
-		gaps[i] = dram.Time(gap)
-	}
-	br.prevGap[bank] = prev
-	dwells := buf.Dwells[:0]
 	if br.segHasDwell {
-		if cap(dwells) < count {
-			dwells = make([]dram.Time, count)
-		} else {
-			dwells = dwells[:count]
+		dwells = resize(dwells, count)
+		var dwell int64
+		if off, dwell, ok = deltaColumn(br.payload, off, br.prevDwell[bank], MaxDwell, dwells); !ok {
+			return ColBlock{}, columnErr(off, "dwell", checkDwell(dwell))
 		}
-		prev = br.prevDwell[bank]
-		for i := range dwells {
-			if off >= len(p) {
-				return ColBlock{}, binErrf("segment: truncated dwell delta")
-			}
-			c := p[off]
-			off++
-			u := uint64(c)
-			if c >= 0x80 {
-				u &= 0x7f
-				for shift := uint(7); ; shift += 7 {
-					if off >= len(p) || shift > 63 {
-						return ColBlock{}, binErrf("segment: truncated dwell delta")
-					}
-					c = p[off]
-					off++
-					u |= uint64(c&0x7f) << shift
-					if c < 0x80 {
-						break
-					}
+		br.prevDwell[bank] = dwell
+	}
+	br.prevRow[bank], br.prevGap[bank] = row, gap
+	br.off = off
+	br.segBlocks = append(br.segBlocks, segBlock{bank: bank, count: int64(count)})
+	br.blocksLeft--
+	br.segAccs += int64(count)
+	br.decoded += int64(count)
+	return ColBlock{Bank: bank, Rows: rows, Gaps: gaps, Dwells: dwells}, nil
+}
+
+// resize returns s with length n, reusing its backing array when it fits.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// deltaColumn decodes len(col) zigzag-varint deltas from p[off:] into col,
+// each added to the running value prev — the row, gap and dwell columns'
+// shared hot loop, whose throughput `make bench-trace` gates. Varints
+// decode inline with a single-byte fast path (most deltas are small). It
+// returns the cursor after the column and the column's last value. ok is
+// false when a value falls outside [0, limit], which is returned as last,
+// or when the payload ends mid-column, which returns next < 0.
+func deltaColumn[T int32 | dram.Time](p []byte, off int, prev, limit int64, col []T) (next int, last int64, ok bool) {
+	for i := range col {
+		if off >= len(p) {
+			return -1, prev, false
+		}
+		c := p[off]
+		off++
+		u := uint64(c)
+		if c >= 0x80 {
+			u &= 0x7f
+			for shift := uint(7); ; shift += 7 {
+				if off >= len(p) || shift > 63 {
+					return -1, prev, false
+				}
+				c = p[off]
+				off++
+				u |= uint64(c&0x7f) << shift
+				if c < 0x80 {
+					break
 				}
 			}
-			dwell := prev + (int64(u>>1) ^ -int64(u&1))
-			if dwell < 0 {
-				return ColBlock{}, binErrf("segment: %w", checkDwell(dwell))
-			}
-			prev = dwell
-			dwells[i] = dram.Time(dwell)
 		}
-		br.prevDwell[bank] = prev
+		v := prev + (int64(u>>1) ^ -int64(u&1)) // zigzag decode
+		if v < 0 || v > limit {
+			return off, v, false
+		}
+		prev = v
+		col[i] = T(v)
 	}
-	br.off = off
-	br.blockDone(bank, count)
-	return ColBlock{Bank: bank, Rows: rows, Gaps: gaps, Dwells: dwells}, nil
+	return off, prev, true
+}
+
+// columnErr reports a failed deltaColumn: a torn column (next < 0) or the
+// out-of-range value's limit error.
+func columnErr(next int, what string, limit error) error {
+	if next < 0 {
+		return binErrf("segment: truncated %s delta", what)
+	}
+	return binErrf("segment: %w", limit)
 }
 
 // runList parses the segment's run list, validating it against segBlocks:
@@ -972,7 +818,7 @@ func (br *BlockReader) runList(dst []run, collect bool) ([]run, error) {
 	named := 0
 	p, off := br.payload, br.off
 	for i := uint64(0); i < nruns; i++ {
-		var vals [2]uint64 // bank, length — same inline varint as decodeBlock
+		var vals [2]uint64 // bank, length — same inline varint as deltaColumn
 		for f := 0; f < 2; f++ {
 			if off >= len(p) {
 				return nil, binErrf("segment: truncated run list")
@@ -1059,24 +905,24 @@ func ReadBinary(r io.Reader) (*Trace, error) {
 		prealloc = 1 << 20 // cap what a hostile header can make us allocate up front
 	}
 	out := make([]Access, 0, prealloc)
-	// Per-bank pending accesses of the open segment, with a read cursor per
-	// bank, and a pool recycling the block buffers across segments so the
+	// Per-bank pending blocks of the open segment, with a read cursor per
+	// bank, and a pool recycling the block columns across segments so the
 	// steady state allocates nothing per block.
-	cols := make([][]Access, br.banks)
-	cur := make([]int64, br.banks)
-	var pool [][]Access
+	cols := make([]ColBlock, br.banks)
+	cur := make([]int, br.banks)
+	var pool []ColBlock
 	var runs []run
 	for {
 		if br.blocksLeft > 0 {
-			var buf []Access
+			var buf ColBlock
 			if n := len(pool); n > 0 {
 				buf, pool = pool[n-1], pool[:n-1]
 			}
-			blk, err := br.decodeBlock(buf)
+			blk, err := br.decodeBlockCols(buf)
 			if err != nil {
 				return nil, err
 			}
-			cols[blk.Bank] = blk.Accs
+			cols[blk.Bank] = blk
 			continue
 		}
 		if br.segOpen {
@@ -1098,20 +944,20 @@ func ReadBinary(r io.Reader) (*Trace, error) {
 			}
 			out = out[:base+int(segAccs)]
 			for _, ru := range runs {
-				col := cols[ru.bank]
+				col := &cols[ru.bank]
 				c := cur[ru.bank]
-				for i := int64(0); i < ru.n; i++ {
-					out[base] = col[c+i]
+				for i := c; i < c+int(ru.n); i++ {
+					out[base] = col.access(i)
 					base++
 				}
-				cur[ru.bank] = c + ru.n
+				cur[ru.bank] = c + int(ru.n)
 			}
 			for _, sb := range br.segBlocks {
-				if cur[sb.bank] != sb.count { // invariant, per runList above
+				if int64(cur[sb.bank]) != sb.count { // invariant, per runList above
 					return nil, binErrf("segment: runs replay %d accesses of bank %d, block carries %d", cur[sb.bank], sb.bank, sb.count)
 				}
 				pool = append(pool, cols[sb.bank])
-				cols[sb.bank] = nil
+				cols[sb.bank] = ColBlock{}
 				cur[sb.bank] = 0
 			}
 			continue

@@ -8,17 +8,77 @@ import (
 	"graphene/internal/dram"
 )
 
-// TestNextColsMatchesNext decodes the same binary stream through the
-// struct and columnar block decoders and requires identical blocks —
-// same bank sequence, same rows, same gaps, same clean EOF — including
-// across segment boundaries where per-bank delta state carries over, and
-// with the two decoders interleaved on one reader (the contract that
-// Next/NextCols share one delta-state cursor).
+// sourceCursor checks decoded blocks against the accesses the stream was
+// encoded from: each block must carry the next accesses of its bank, in
+// stream order.
+type sourceCursor struct {
+	want map[int][]Access
+	next map[int]int
+}
+
+func newSourceCursor(accs []Access) *sourceCursor {
+	c := &sourceCursor{want: map[int][]Access{}, next: map[int]int{}}
+	for _, a := range accs {
+		c.want[a.Bank] = append(c.want[a.Bank], a)
+	}
+	return c
+}
+
+// check matches block bi's columns, and its struct view when accs is not
+// nil, against the source, then advances the block's bank.
+func (c *sourceCursor) check(t *testing.T, bi int, cb ColBlock, accs []Access) {
+	t.Helper()
+	src := c.want[cb.Bank][c.next[cb.Bank]:]
+	n := len(cb.Rows)
+	if n == 0 || n > len(src) || len(cb.Gaps) != n || (len(cb.Dwells) != 0 && len(cb.Dwells) != n) {
+		t.Fatalf("block %d: bank %d columns %d/%d/%d, source has %d accesses left",
+			bi, cb.Bank, n, len(cb.Gaps), len(cb.Dwells), len(src))
+	}
+	if accs != nil && len(accs) != n {
+		t.Fatalf("block %d: struct view carries %d accesses, columns %d", bi, len(accs), n)
+	}
+	for i, w := range src[:n] {
+		var dwell dram.Time
+		if len(cb.Dwells) != 0 {
+			dwell = cb.Dwells[i]
+		}
+		if int(cb.Rows[i]) != w.Row || cb.Gaps[i] != w.Gap || dwell != w.Dwell {
+			t.Fatalf("block %d access %d: columns (%d, %d, %d), source %+v", bi, i, cb.Rows[i], cb.Gaps[i], dwell, w)
+		}
+		if accs != nil && accs[i] != w {
+			t.Fatalf("block %d access %d: struct %+v, source %+v", bi, i, accs[i], w)
+		}
+	}
+	c.next[cb.Bank] += n
+}
+
+// done requires every source access to have been decoded.
+func (c *sourceCursor) done(t *testing.T) {
+	t.Helper()
+	for bank, ws := range c.want {
+		if c.next[bank] != len(ws) {
+			t.Errorf("bank %d: blocks carry %d accesses, source has %d", bank, c.next[bank], len(ws))
+		}
+	}
+}
+
+// TestNextColsMatchesNext decodes the same binary stream through NextCols
+// and through its struct view Next, and checks every block of both against
+// the source accesses — same bank sequence, rows, gaps and dwells, same
+// clean EOF — including across segment boundaries where per-bank delta
+// state carries over, and with the two interleaved on one reader (the
+// contract that Next/NextCols share one delta-state cursor).
 func TestNextColsMatchesNext(t *testing.T) {
+	// The first segment is dwell-free, the second carries the column.
+	dwell := mixedTrace(segmentAccs+5000, 4, 3)
+	for i := segmentAccs; i < len(dwell); i += 3 {
+		dwell[i].Dwell = dram.Time(1000 + i)
+	}
 	cases := map[string][]Access{
 		"single-bank":   mixedTrace(5000, 1, 1),
 		"multi-bank":    mixedTrace(20_000, 7, 2),
 		"multi-segment": mixedTrace(segmentAccs*2+123, 5, 4),
+		"dwell":         dwell,
 	}
 	for name, accs := range cases {
 		accs := accs
@@ -32,6 +92,7 @@ func TestNextColsMatchesNext(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			src := newSourceCursor(accs)
 			var sbuf []Access
 			var cbuf ColBlock
 			for bi := 0; ; bi++ {
@@ -46,69 +107,47 @@ func TestNextColsMatchesNext(t *testing.T) {
 				if serr != nil {
 					t.Fatalf("block %d: %v", bi, serr)
 				}
-				if cb.Bank != sb.Bank || len(cb.Rows) != len(sb.Accs) || len(cb.Gaps) != len(sb.Accs) {
-					t.Fatalf("block %d: columnar bank %d len %d/%d, struct bank %d len %d",
-						bi, cb.Bank, len(cb.Rows), len(cb.Gaps), sb.Bank, len(sb.Accs))
+				if cb.Bank != sb.Bank {
+					t.Fatalf("block %d: columnar bank %d, struct bank %d", bi, cb.Bank, sb.Bank)
 				}
-				for i, a := range sb.Accs {
-					if int(cb.Rows[i]) != a.Row || cb.Gaps[i] != a.Gap {
-						t.Fatalf("block %d access %d: columnar (%d, %d), struct (%d, %d)",
-							bi, i, cb.Rows[i], cb.Gaps[i], a.Row, a.Gap)
-					}
-				}
+				src.check(t, bi, cb, sb.Accs)
 				sbuf, cbuf = sb.Accs, cb
 			}
+			src.done(t)
 		})
 	}
 
-	// Interleaved decode on a single reader against a pure struct decode.
+	// Interleaved decode on a single reader, against the source.
 	accs := mixedTrace(segmentAccs+4096, 6, 9)
-	data := encodeBinary(t, "interleave", accs)
-	ref, err := NewBlockReader(bytes.NewReader(data))
+	mixed, err := NewBlockReader(bytes.NewReader(encodeBinary(t, "interleave", accs)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	mixed, err := NewBlockReader(bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
+	src := newSourceCursor(accs)
 	for bi := 0; ; bi++ {
-		rb, rerr := ref.Next(nil)
-		var bank int
-		var rows []int32
-		var gaps []dram.Time
-		var merr error
+		var cb ColBlock
+		var view []Access
+		var err error
 		if bi%2 == 0 {
-			var cb ColBlock
-			cb, merr = mixed.NextCols(ColBlock{})
-			bank, rows, gaps = cb.Bank, cb.Rows, cb.Gaps
+			cb, err = mixed.NextCols(ColBlock{})
 		} else {
 			var mb Block
-			mb, merr = mixed.Next(nil)
-			bank = mb.Bank
+			mb, err = mixed.Next(nil)
+			cb.Bank, view = mb.Bank, mb.Accs
 			for _, a := range mb.Accs {
-				rows = append(rows, int32(a.Row))
-				gaps = append(gaps, a.Gap)
+				cb.Rows = append(cb.Rows, int32(a.Row))
+				cb.Gaps = append(cb.Gaps, a.Gap)
 			}
 		}
-		if (rerr == nil) != (merr == nil) {
-			t.Fatalf("block %d: ref err %v, interleaved err %v", bi, rerr, merr)
-		}
-		if rerr == io.EOF {
+		if err == io.EOF {
 			break
 		}
-		if rerr != nil {
-			t.Fatalf("block %d: %v", bi, rerr)
+		if err != nil {
+			t.Fatalf("block %d: %v", bi, err)
 		}
-		if bank != rb.Bank || len(rows) != len(rb.Accs) {
-			t.Fatalf("block %d: interleaved bank %d len %d, ref bank %d len %d", bi, bank, len(rows), rb.Bank, len(rb.Accs))
-		}
-		for i, a := range rb.Accs {
-			if int(rows[i]) != a.Row || gaps[i] != a.Gap {
-				t.Fatalf("block %d access %d: interleaved (%d, %d), ref (%d, %d)", bi, i, rows[i], gaps[i], a.Row, a.Gap)
-			}
-		}
+		src.check(t, bi, cb, view)
 	}
+	src.done(t)
 }
 
 // TestNextColsRejectsTornTail: the columnar decoder applies the same
