@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test test-race test-short bench bench-sweep bench-obs bench-fault bench-hotpath bench-trace bench-replay bench-rowpress bench-serve perfbench-build fuzz race tables security examples check
+.PHONY: all build vet test test-race test-short bench bench-sweep bench-obs bench-fault bench-trace bench-replay bench-rowpress bench-serve perfbench-build fuzz race tables security examples check
 
 all: check
 
@@ -47,16 +47,6 @@ bench-obs:
 bench-fault:
 	$(GO) test -run 'FaultInject|Checkpoint|Journal|ResumeRecordFault|ResumeCorrupt' -v ./internal/faultinject ./internal/sched ./internal/memctrl ./internal/trace ./internal/sim ./internal/serve ./cmd/rhsweep
 
-# Replay hot-path gate (DESIGN.md §9): the testing.AllocsPerRun tests
-# assert the steady-state ACT loop allocates exactly zero, then the
-# microbenchmarks run once with -benchmem and rhbench converts the output
-# to machine-readable BENCH_hotpath.json, re-asserting 0 allocs/op on
-# every hot-path bench (including the per-trigger-cycle one that caught
-# the 7 allocs/op the pre-append API hid under integer rounding).
-bench-hotpath:
-	$(GO) test -run 'TestReplayHotPathZeroAlloc' ./internal/memctrl
-	$(GO) test -run xxx -bench 'BenchmarkHotPath' -benchtime 1000x -benchmem ./internal/memctrl | $(GO) run ./cmd/rhbench -o BENCH_hotpath.json -assert-zero-allocs 'BenchmarkHotPath'
-
 # Trace codec gate: parse+replay-ingest cost per ACT for the text vs
 # binary formats, recorded to machine-readable BENCH_trace.json, with
 # rhbench enforcing the ≥10x parse-throughput target on decode-blocks
@@ -64,21 +54,26 @@ bench-hotpath:
 bench-trace:
 	$(GO) test -run xxx -bench 'BenchmarkTraceCodec' -benchtime 5x -count 3 ./internal/trace | $(GO) run ./cmd/rhbench -o BENCH_trace.json -assert-speedup 'decode-blocks:parse-text:10'
 
-# Batched replay gate (DESIGN.md §11): the zero-alloc test pins the batch
-# core's steady state at exactly 0 allocations, then the engine pair
-# benchmarks (identical ACT runs through the scalar replayOne loop vs the
-# batched replayRun) and the all-banks aggregate pair (buffered per-ACT
-# replay vs columnar RunBlocks ingest) record single-bank and aggregate
-# ACT/s into BENCH_replay.json. rhbench asserts the ISSUE 7 floors: ≥3x
-# batch-vs-scalar on trigger-light replay, ≥1.3x end-to-end aggregate,
-# and 0 allocs/op on every batch engine bench.
+# Batched replay gate (DESIGN.md §9, §11): the zero-alloc tests pin both
+# replay paths at exactly 0 allocations in steady state — the batch core
+# and the scalar replayOne that REF-boundary ACTs, CRA and RFM banks take
+# (testing.AllocsPerRun, which caught the 7 allocs per trigger cycle the
+# pre-append API hid under benchmem's integer rounding). Then the engine
+# pair benchmarks (identical ACT runs through the scalar replayOne loop vs
+# the batched replayRun), the per-ACT replayOne hot-path benchmarks, and
+# the all-banks aggregate pair (buffered per-ACT replay vs columnar
+# RunBlocks ingest) record their numbers into BENCH_replay.json. rhbench
+# asserts ≥3x batch-vs-scalar on trigger-light replay, ≥1.3x end-to-end
+# aggregate, and 0 allocs/op on every batch engine and hot-path bench.
 bench-replay:
-	$(GO) test -run 'TestReplayBatchZeroAlloc' ./internal/memctrl
+	$(GO) test -run 'TestReplayBatchZeroAlloc|TestReplayHotPathZeroAlloc' ./internal/memctrl
 	$(GO) test -run xxx -bench 'BenchmarkReplayEngine' -benchtime 500x -count 3 -benchmem ./internal/memctrl > BENCH_replay.txt
+	$(GO) test -run xxx -bench 'BenchmarkHotPath' -benchtime 1000x -benchmem ./internal/memctrl >> BENCH_replay.txt
 	$(GO) test -run xxx -bench 'BenchmarkReplayAggregate' -benchtime 3x -count 3 -benchmem ./internal/memctrl >> BENCH_replay.txt
 	$(GO) run ./cmd/rhbench -i BENCH_replay.txt -o BENCH_replay.json -assert-speedup 'ReplayEngine/batch-trigger-light:ReplayEngine/scalar-trigger-light:3'
 	$(GO) run ./cmd/rhbench -i BENCH_replay.txt -o /dev/null -assert-speedup 'batch-allbanks:scalar-allbanks:1.3'
 	$(GO) run ./cmd/rhbench -i BENCH_replay.txt -o /dev/null -assert-zero-allocs 'BenchmarkReplayEngine/batch'
+	$(GO) run ./cmd/rhbench -i BENCH_replay.txt -o /dev/null -assert-zero-allocs 'BenchmarkHotPath'
 	rm -f BENCH_replay.txt
 
 # RowPress dwell-column gate (DESIGN.md §13): the dwell-carrying zero-alloc
@@ -144,6 +139,7 @@ fuzz:
 	$(GO) test ./internal/graphene -fuzz=FuzzBatchAppend -fuzztime=30s -run xxx
 	$(GO) test ./internal/trace -fuzz=FuzzBinaryReader -fuzztime=30s -run xxx
 	$(GO) test ./internal/memctrl -fuzz=FuzzStreamingMatchesBuffered -fuzztime=30s -run xxx
+	$(GO) test ./internal/memctrl -fuzz=FuzzBatchSplit -fuzztime=30s -run xxx
 	$(GO) test ./internal/mitigation -fuzz=FuzzStackAppend -fuzztime=30s -run xxx
 	$(GO) test ./internal/serve -fuzz=FuzzWireSession -fuzztime=30s -run xxx
 
@@ -161,4 +157,4 @@ examples:
 	$(GO) run ./examples/pagepolicy
 	$(GO) run ./examples/observability
 
-check: build vet test race bench-sweep bench-fault bench-hotpath bench-trace bench-replay bench-rowpress bench-serve perfbench-build
+check: build vet test race bench-sweep bench-fault bench-trace bench-replay bench-rowpress bench-serve perfbench-build

@@ -6,7 +6,7 @@
 //
 // Usage:
 //
-//	go test -run xxx -bench 'HotPath' -benchmem ./internal/memctrl | rhbench -o BENCH_hotpath.json
+//	go test -run xxx -bench 'HotPath' -benchmem ./internal/memctrl | rhbench -o BENCH_replay.json
 //	rhbench -i bench.txt -assert-zero-allocs 'HotPath'   # gate: allocs/op must be 0
 //	rhbench -i bench.txt -assert-speedup 'decode-blocks:parse-text:10'   # gate: ≥10x faster
 package main

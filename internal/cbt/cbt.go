@@ -262,25 +262,26 @@ func (c *CBT) appendVictimRefreshes(dst []mitigation.VictimRefresh, lo, hi int) 
 	return dst
 }
 
-// AppendOnActivateBatch implements mitigation.Mitigator through the
-// shared scalar-loop adapter (the controller's batch replay still saves
-// the per-ACT dispatch and timing work around it). With Config.Rowpress
-// and a dwell column, each ACT instead feeds its duration-weighted
-// increment, stopping after the first appending ACT per the contract.
+// AppendOnActivateBatch implements mitigation.Mitigator: each ACT feeds
+// observe with its counter weight — 1, or under Config.Rowpress
+// mitigation.RowpressIncrement of its dwell — stopping after the first
+// appending ACT per the contract.
 func (c *CBT) AppendOnActivateBatch(dst []mitigation.VictimRefresh, rows []int32, now, dwell []dram.Time) ([]mitigation.VictimRefresh, int) {
-	if c.cfg.Rowpress && dwell != nil {
-		nras, incTicks := c.cfg.NRAS, c.cfg.RowpressIncrementTicks
-		for i := range rows {
-			pre := len(dst)
-			inc := mitigation.RowpressIncrement(dwell[i], nras, incTicks)
-			dst = c.observe(dst, int(rows[i]), now[i], inc)
-			if len(dst) > pre {
-				return dst, i + 1
-			}
-		}
-		return dst, len(rows)
+	if !c.cfg.Rowpress {
+		dwell = nil
 	}
-	return mitigation.ScalarBatch(c, dst, rows, now, dwell)
+	for i := range rows {
+		inc := int64(1)
+		if dwell != nil {
+			inc = mitigation.RowpressIncrement(dwell[i], c.cfg.NRAS, c.cfg.RowpressIncrementTicks)
+		}
+		pre := len(dst)
+		dst = c.observe(dst, int(rows[i]), now[i], inc)
+		if len(dst) > pre {
+			return dst, i + 1
+		}
+	}
+	return dst, len(rows)
 }
 
 // AppendTick implements mitigation.Mitigator; CBT takes no refresh-time

@@ -88,26 +88,18 @@ func (b *Bank) SetRecorder(rec *obs.Recorder, bank int) {
 // window to cover now, feeds the activation to the Misra-Gries table, and
 // converts a threshold trigger into a single in-place append of a
 // ±Distance victim refresh (§III-B, §III-D) — the hot path allocates
-// nothing of its own.
+// nothing of its own. It stays a per-ACT Table.Observe rather than a batch
+// of one because RFM banks replay every dwell-less ACT through it, where a
+// batch of one measurably costs end-to-end throughput (DESIGN.md §11).
 func (b *Bank) AppendOnActivate(dst []mitigation.VictimRefresh, row int, now dram.Time) []mitigation.VictimRefresh {
-	for now >= b.windowEnd {
-		b.snapshotWindow()
-		b.table.Reset()
-		b.windowEnd += b.params.Window
-		b.resets++
+	if now >= b.windowEnd {
+		b.advanceWindow(now)
 	}
 	wasAlerting := b.table.Alert()
 	if !b.table.Observe(row) {
 		// Count the alert once per window, on its rising edge.
 		if !wasAlerting && b.table.Alert() {
-			b.alerts++
-			b.alertsC.Inc()
-			if b.rec != nil {
-				b.rec.Emit(obs.Event{
-					Kind: obs.KindSpillAlert, Scheme: b.Name(), Bank: b.obsBank,
-					Time: int64(now), Value: b.table.Spillover(),
-				})
-			}
+			b.spillAlert(now)
 		}
 		return dst
 	}
@@ -117,68 +109,27 @@ func (b *Bank) AppendOnActivate(dst []mitigation.VictimRefresh, row int, now dra
 
 // AppendOnActivateBatch implements mitigation.Mitigator — the fused batch
 // path of DESIGN.md §11. The run is sliced at reset-window boundaries
-// (windows depend only on now, never on the rows), each slice streams
-// through Table.ObserveRun's hoisted Misra-Gries loop, and the batch stops
-// at the first trigger exactly as the contract requires. A spillover-alert
-// rising edge also ends an ObserveRun — the table can't know event times —
-// so the alert is emitted here at the edge ACT's timestamp and the run
-// resumes; every counter, event, and append is byte-identical to feeding
-// the same ACTs through AppendOnActivate.
+// (windows depend only on now, never on the rows). Within a window, each
+// run of minimum-dwell ACTs streams through Table.ObserveRun's hoisted
+// Misra-Gries loop — every ACT, when there is no dwell column or
+// Config.Rowpress is off — and an ACT held open past NRAS counts as
+// mitigation.RowpressIncrement unit observations through Table.ObserveW.
+// One victim refresh per triggering ACT, however many multiples of T a
+// weighted increment crossed: a single NRR restores every neighbor's full
+// charge. The batch stops at the first trigger, as the contract requires.
+// A spillover-alert rising edge also ends an ObserveRun — the table can't
+// know event times — so the alert is emitted here at the edge ACT's
+// timestamp and the run resumes; every counter, event, and append is
+// byte-identical to feeding the same ACTs one at a time.
 func (b *Bank) AppendOnActivateBatch(dst []mitigation.VictimRefresh, rows []int32, now, dwell []dram.Time) ([]mitigation.VictimRefresh, int) {
-	if b.cfg.Rowpress && dwell != nil {
-		return b.appendBatchRowpress(dst, rows, now, dwell)
+	if !b.cfg.Rowpress {
+		dwell = nil
 	}
+	nras := b.cfg.NRAS
 	i, n := 0, len(rows)
 	for i < n {
-		for now[i] >= b.windowEnd {
-			b.snapshotWindow()
-			b.table.Reset()
-			b.windowEnd += b.params.Window
-			b.resets++
-		}
-		j := i + 1
-		for j < n && now[j] < b.windowEnd {
-			j++
-		}
-		consumed, trigger, alertEdge := b.table.ObserveRun(rows[i:j])
-		i += consumed
-		if trigger {
-			b.refreshes++
-			return append(dst, mitigation.VictimRefresh{Aggressor: int(rows[i-1]), Distance: b.cfg.Distance}), i
-		}
-		if alertEdge {
-			b.alerts++
-			b.alertsC.Inc()
-			if b.rec != nil {
-				b.rec.Emit(obs.Event{
-					Kind: obs.KindSpillAlert, Scheme: b.Name(), Bank: b.obsBank,
-					Time: int64(now[i-1]), Value: b.table.Spillover(),
-				})
-			}
-		}
-	}
-	return dst, n
-}
-
-// appendBatchRowpress is the duration-aware batch path: each ACT's dwell
-// converts to a counter increment (mitigation.RowpressIncrement with the
-// configured NRAS and RowpressIncrementTicks). Minimum-dwell spans — the
-// common case, where every increment is 1 — stream through the same
-// hoisted Table.ObserveRun loop as the legacy batch path; only ACTs whose
-// dwell exceeds nRAS pay the weighted ObserveW call. One victim refresh
-// per triggering ACT regardless of how many multiples of T the weighted
-// increment crossed — a single NRR already restores every neighbor's full
-// charge. The batch contract (stop after the first appending ACT) is
-// unchanged.
-func (b *Bank) appendBatchRowpress(dst []mitigation.VictimRefresh, rows []int32, now, dwell []dram.Time) ([]mitigation.VictimRefresh, int) {
-	nras, incTicks := b.cfg.NRAS, b.cfg.RowpressIncrementTicks
-	i, n := 0, len(rows)
-	for i < n {
-		for now[i] >= b.windowEnd {
-			b.snapshotWindow()
-			b.table.Reset()
-			b.windowEnd += b.params.Window
-			b.resets++
+		if now[i] >= b.windowEnd {
+			b.advanceWindow(now[i])
 		}
 		j := i + 1
 		for j < n && now[j] < b.windowEnd {
@@ -186,28 +137,25 @@ func (b *Bank) appendBatchRowpress(dst []mitigation.VictimRefresh, rows []int32,
 		}
 		for i < j {
 			var trigger, alertEdge bool
-			if dwell[i] <= nras {
-				k := i + 1
-				for k < j && dwell[k] <= nras {
-					k++
+			if dwell == nil || dwell[i] <= nras {
+				k := j
+				if dwell != nil {
+					k = i + 1
+					for k < j && dwell[k] <= nras {
+						k++
+					}
 				}
 				var consumed int
 				consumed, trigger, alertEdge = b.table.ObserveRun(rows[i:k])
 				i += consumed
 			} else {
-				inc := mitigation.RowpressIncrement(dwell[i], nras, incTicks)
+				inc := mitigation.RowpressIncrement(dwell[i], nras, b.cfg.RowpressIncrementTicks)
 				trigger, alertEdge = b.table.ObserveW(int(rows[i]), inc)
 				i++
 			}
+			// ObserveW can report both; the alert edge came first.
 			if alertEdge {
-				b.alerts++
-				b.alertsC.Inc()
-				if b.rec != nil {
-					b.rec.Emit(obs.Event{
-						Kind: obs.KindSpillAlert, Scheme: b.Name(), Bank: b.obsBank,
-						Time: int64(now[i-1]), Value: b.table.Spillover(),
-					})
-				}
+				b.spillAlert(now[i-1])
 			}
 			if trigger {
 				b.refreshes++
@@ -216,6 +164,30 @@ func (b *Bank) appendBatchRowpress(dst []mitigation.VictimRefresh, rows []int32,
 		}
 	}
 	return dst, n
+}
+
+// advanceWindow closes every reset window that ended at or before now.
+// Callers test now >= b.windowEnd first, so the per-ACT check stays
+// inline.
+func (b *Bank) advanceWindow(now dram.Time) {
+	for now >= b.windowEnd {
+		b.snapshotWindow()
+		b.table.Reset()
+		b.windowEnd += b.params.Window
+		b.resets++
+	}
+}
+
+// spillAlert counts the window's spillover-alert rising edge, seen at now.
+func (b *Bank) spillAlert(now dram.Time) {
+	b.alerts++
+	b.alertsC.Inc()
+	if b.rec != nil {
+		b.rec.Emit(obs.Event{
+			Kind: obs.KindSpillAlert, Scheme: b.Name(), Bank: b.obsBank,
+			Time: int64(now), Value: b.table.Spillover(),
+		})
+	}
 }
 
 // AppendTick implements mitigation.Mitigator; Graphene takes no

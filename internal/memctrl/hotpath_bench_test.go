@@ -15,7 +15,8 @@ import (
 // The hot-path benchmarks time the steady-state replay loop one ACT at a
 // time: b.N is the ACT count, so ns/op is ns per ACT and allocs/op is the
 // per-ACT allocation count the append-style Mitigator API is meant to hold
-// at zero (ISSUE 5; EXPERIMENTS.md hot-path table, BENCH_hotpath.json).
+// at zero (EXPERIMENTS.md hot-path table; `make bench-replay` records them
+// in BENCH_replay.json).
 //
 // Each case drives one bank's bankState directly — the same replayOne the
 // streaming and buffered paths execute — with the ground-truth oracle armed

@@ -72,11 +72,12 @@ type Mitigator interface {
 	// returning the extended slice and the number of ACTs consumed. The
 	// caller guarantees len(now) == len(rows) > 0 and that every row fits
 	// the int32 address space (trace.MaxRow); dwell is either nil (every
-	// ACT holds its row open for the device minimum nRAS — the only case
-	// on the pre-RowPress replay path, so dwell-unaware schemes ignore
-	// the column entirely) or a slice of len(rows) open-row durations in
-	// picoseconds where 0 again means nRAS. The callee must not retain
-	// any of the slices past the call.
+	// ACT holds its row open for the device minimum nRAS) or a slice of
+	// len(rows) open-row durations in picoseconds where 0 again means
+	// nRAS. Graphene, TWiCe, PARA and CBT, when their Rowpress knob is
+	// on, weigh each ACT's dwell as a counter increment inside their one
+	// batch loop; every other scheme ignores the column. The callee must
+	// not retain any of the slices past the call.
 	//
 	// The batch contract (DESIGN.md §11): ACTs are consumed in order and
 	// the callee STOPS immediately after the first ACT that appended
@@ -105,15 +106,13 @@ type Mitigator interface {
 
 // ScalarBatch implements the AppendOnActivateBatch contract by looping a
 // scheme's per-ACT AppendOnActivate: it consumes ACTs in order and stops
-// immediately after the first one that appended. Schemes without a fused
-// batch path delegate to it in one line, so the whole registry satisfies
-// the batch interface; the fused implementations (Graphene's hoisted
-// Misra-Gries loop, PARA, TWiCe) replace it where the per-call overhead
-// matters. The dwell column is dropped: a dwell-unaware scheme treats
-// every ACT as a minimum-duration activation, exactly like its scalar
-// path.
+// immediately after the first one that appended. The dwell-unaware
+// schemes (CRA, MRLoc, PRoHIT, PerRow, the sketches, TRR) bridge through
+// it in one line, treating every ACT as a minimum-duration activation,
+// exactly like their scalar path, so the dwell column is dropped. The
+// dwell-aware schemes (Graphene, TWiCe, PARA, CBT) run their own batch
+// loop instead.
 func ScalarBatch(m Mitigator, dst []VictimRefresh, rows []int32, now, dwell []dram.Time) ([]VictimRefresh, int) {
-	_ = dwell
 	for i, r := range rows {
 		pre := len(dst)
 		dst = m.AppendOnActivate(dst, int(r), now[i])

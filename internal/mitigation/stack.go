@@ -58,24 +58,19 @@ func (s *Stack) AppendOnActivate(dst []VictimRefresh, row int, now dram.Time) []
 // ACT order (layer B's trigger at ACT 3 ends the run before layer A ever
 // sees ACT 4), and scheme state cannot be unwound, so no layer may consume
 // ahead of the stack's own stop index. The stack therefore walks the run
-// one ACT at a time, fanning each ACT to every layer exactly as the scalar
-// path does — the surrounding controller batch (event-horizon slicing,
-// columnar feed, batched bank accounting) still applies.
-// A dwell column is preserved: each single-ACT fan-out goes through the
-// layer's own batch entry point with a one-element dwell slice, so
-// dwell-aware layers see the duration and dwell-unaware ones drop it.
+// one ACT at a time, fanning each ACT to every layer's batch entry point
+// as a batch of one with a one-element dwell slice (nil when the run has
+// no dwell column) — the surrounding controller batch (event-horizon
+// slicing, columnar feed, batched bank accounting) still applies.
 func (s *Stack) AppendOnActivateBatch(dst []VictimRefresh, rows []int32, now, dwell []dram.Time) ([]VictimRefresh, int) {
-	layers := s.layers
-	for i, r := range rows {
+	var one []dram.Time
+	for i := range rows {
+		if dwell != nil {
+			one = dwell[i : i+1]
+		}
 		pre := len(dst)
-		if dwell == nil {
-			for _, l := range layers {
-				dst = l.AppendOnActivate(dst, int(r), now[i])
-			}
-		} else {
-			for _, l := range layers {
-				dst, _ = l.AppendOnActivateBatch(dst, rows[i:i+1], now[i:i+1], dwell[i:i+1])
-			}
+		for _, l := range s.layers {
+			dst, _ = l.AppendOnActivateBatch(dst, rows[i:i+1], now[i:i+1], one)
 		}
 		if len(dst) > pre {
 			return dst, i + 1

@@ -68,7 +68,7 @@ type Para struct {
 	victimCells []int
 
 	// fired marks distances that already refreshed during the current
-	// ACT's RowPress draw rounds (batch path scratch).
+	// ACT's draw rounds (batch scratch).
 	fired []bool
 
 	refreshes int64
@@ -127,50 +127,38 @@ func (p *Para) Name() string {
 // VictimRefreshes returns the number of rows refreshed so far.
 func (p *Para) VictimRefreshes() int64 { return p.refreshes }
 
-// AppendOnActivate implements mitigation.Mitigator: for every protected
-// distance d, with probability p_d it refreshes one of the two rows d away.
-// The appended Rows slices alias p's recycled victim cells and are valid
-// only until the next call.
+// AppendOnActivate implements mitigation.Mitigator as a batch of one: for
+// every protected distance d, with probability p_d it refreshes one of the
+// two rows d away. The appended Rows slices alias p's recycled victim
+// cells and are valid only until the next call.
 func (p *Para) AppendOnActivate(dst []mitigation.VictimRefresh, row int, now dram.Time) []mitigation.VictimRefresh {
-	for d, prob := range p.cfg.Probabilities {
-		if prob == 0 || p.rng.Float64() >= prob {
-			continue
-		}
-		victim := row + (d + 1)
-		if p.rng.Intn(2) == 0 {
-			victim = row - (d + 1)
-		}
-		if victim < 0 || victim >= p.cfg.Rows {
-			continue
-		}
-		p.refreshes++
-		p.victimCells[d] = victim
-		dst = append(dst, mitigation.VictimRefresh{Rows: p.victimCells[d : d+1 : d+1]})
-	}
+	rows, nows := [1]int32{int32(row)}, [1]dram.Time{now}
+	dst, _ = p.AppendOnActivateBatch(dst, rows[:], nows[:], nil)
 	return dst
 }
 
-// AppendOnActivateBatch implements mitigation.Mitigator with a fused loop:
-// the probability table, RNG, and bank bound load once per run instead of
-// once per ACT, and the RNG draw order is exactly the scalar path's, so a
-// seeded batch replay stays byte-identical to a seeded scalar one.
-// A dwell column under Config.Rowpress repeats the draw rounds per ACT
-// (mitigation.RowpressIncrement); each round draws in the scalar order, so
-// an all-minimum-dwell stream consumes the RNG exactly like the legacy
-// path. A repeated draw for a distance that already fired this ACT
-// re-picks the same cell — at most one refresh per distance per ACT, the
-// cells being recycled scratch.
+// AppendOnActivateBatch implements mitigation.Mitigator with one fused
+// loop: the probability table, RNG, and bank bound load once per run
+// instead of once per ACT. Each ACT runs one round of per-distance draws —
+// or, under Config.Rowpress, mitigation.RowpressIncrement rounds of its
+// dwell — each round in the same order, so a seeded replay draws the RNG
+// identically however the run is split. A distance fires at most once per
+// ACT: its appended refresh aliases the recycled victim cell, so a second
+// hit must not rewrite it (and a double refresh of the same neighborhood
+// buys nothing).
 func (p *Para) AppendOnActivateBatch(dst []mitigation.VictimRefresh, rows []int32, now, dwell []dram.Time) ([]mitigation.VictimRefresh, int) {
-	probs, rng, nrows := p.cfg.Probabilities, p.rng, p.cfg.Rows
-	rowpress := p.cfg.Rowpress && dwell != nil
+	if !p.cfg.Rowpress {
+		dwell = nil
+	}
+	probs, rng, nrows, fired := p.cfg.Probabilities, p.rng, p.cfg.Rows, p.fired
 	for i, r := range rows {
-		pre := len(dst)
 		row := int(r)
 		draws := int64(1)
-		if rowpress {
+		if dwell != nil {
 			draws = mitigation.RowpressIncrement(dwell[i], p.cfg.NRAS, p.cfg.RowpressIncrementTicks)
 		}
-		if draws == 1 {
+		pre := len(dst)
+		for ; draws > 0; draws-- {
 			for d, prob := range probs {
 				if prob == 0 || rng.Float64() >= prob {
 					continue
@@ -179,41 +167,19 @@ func (p *Para) AppendOnActivateBatch(dst []mitigation.VictimRefresh, rows []int3
 				if rng.Intn(2) == 0 {
 					victim = row - (d + 1)
 				}
-				if victim < 0 || victim >= nrows {
+				if victim < 0 || victim >= nrows || fired[d] {
 					continue
 				}
+				fired[d] = true
 				p.refreshes++
 				p.victimCells[d] = victim
 				dst = append(dst, mitigation.VictimRefresh{Rows: p.victimCells[d : d+1 : d+1]})
 			}
-		} else {
-			for d := range p.fired {
-				p.fired[d] = false
-			}
-			for ; draws > 0; draws-- {
-				for d, prob := range probs {
-					if prob == 0 || rng.Float64() >= prob {
-						continue
-					}
-					victim := row + (d + 1)
-					if rng.Intn(2) == 0 {
-						victim = row - (d + 1)
-					}
-					// A distance fires at most once per ACT: its appended
-					// refresh aliases the recycled victim cell, so a second
-					// hit must not rewrite it (and a double refresh of the
-					// same neighborhood buys nothing).
-					if victim < 0 || victim >= nrows || p.fired[d] {
-						continue
-					}
-					p.fired[d] = true
-					p.refreshes++
-					p.victimCells[d] = victim
-					dst = append(dst, mitigation.VictimRefresh{Rows: p.victimCells[d : d+1 : d+1]})
-				}
-			}
 		}
 		if len(dst) > pre {
+			// Only an append sets fired, and an append ends the batch, so
+			// one clear here leaves it clean for every later ACT.
+			clear(fired)
 			return dst, i + 1
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"graphene/internal/dram"
 	"graphene/internal/mitigation"
 )
 
@@ -220,5 +221,34 @@ func TestFactoryIndependentStreams(t *testing.T) {
 	}
 	if same {
 		t.Error("factory-built banks use identical RNG streams")
+	}
+}
+
+// TestRowpressFiredClearsEachCall pins the once-per-call reset of the
+// fired marks: with p = 1, an ACT held open for two draw rounds hits its
+// distance twice but refreshes once, and the ACTs of the next calls —
+// batch and scalar — must still refresh, not inherit the stale mark.
+func TestRowpressFiredClearsEachCall(t *testing.T) {
+	nras := dram.DDR4().NRAS()
+	p, err := New(Config{Probabilities: []float64{1}, Rows: 64, Seed: 1, Rowpress: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := []int32{10, 20}
+	now := []dram.Time{0, dram.Microsecond}
+	dwell := []dram.Time{2 * nras, 0} // two draw rounds, then one
+	dst, n := p.AppendOnActivateBatch(nil, rows, now, dwell)
+	if n != 1 || len(dst) != 1 {
+		t.Fatalf("two-round ACT: consumed %d with %d refreshes, want 1 and 1", n, len(dst))
+	}
+	dst, n = p.AppendOnActivateBatch(dst[:0], rows[1:], now[1:], dwell[1:])
+	if n != 1 || len(dst) != 1 {
+		t.Fatalf("next call: consumed %d with %d refreshes, want 1 and 1", n, len(dst))
+	}
+	if dst = p.AppendOnActivate(dst[:0], 30, 2*dram.Microsecond); len(dst) != 1 {
+		t.Fatalf("next scalar call: %d refreshes, want 1", len(dst))
+	}
+	if p.VictimRefreshes() != 3 {
+		t.Fatalf("VictimRefreshes = %d, want 3", p.VictimRefreshes())
 	}
 }

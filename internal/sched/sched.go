@@ -181,8 +181,11 @@ func execJob(ctx context.Context, fault *faultinject.Injector, job Job) (err err
 // started job has finished. Workers pull jobs in submission order, so with
 // Jobs = 1 execution is exactly the serial loop. On failure the
 // lowest-index error observed is returned, in-flight jobs run to
-// completion, and queued jobs are skipped; if the parent context aborts
-// the run before every job completed, its error is returned instead.
+// completion, and queued jobs are skipped. A context.Canceled that a job
+// returns after the pool cancelled itself is the failure's echo, not its
+// cause, so it never displaces the error that cancelled the pool. If the
+// parent context aborts the run before every job completed, its error is
+// returned instead.
 func Run(opts Options, jobs []Job) error {
 	if len(jobs) == 0 {
 		return nil
@@ -269,7 +272,11 @@ func Run(opts Options, jobs []Job) error {
 				mu.Lock()
 				if err != nil {
 					failed++
-					if i < errIdx {
+					// Once a failure has cancelled the pool, a sibling's
+					// context.Canceled is its echo, never its cause.
+					echo := firstErr != nil && errors.Is(err, context.Canceled) &&
+						!errors.Is(firstErr, context.Canceled)
+					if i < errIdx && !echo {
 						errIdx, firstErr = i, err
 					}
 					mu.Unlock()

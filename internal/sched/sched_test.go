@@ -99,6 +99,24 @@ func TestErrorCancelsContextForInFlightJobs(t *testing.T) {
 	}
 }
 
+// TestFailureBeatsSiblingCancellation pins the root-cause rule: job 1's
+// failure cancels the pool, and job 0, lower in index, returns the
+// resulting ctx.Err() only afterwards. That echo must not displace the
+// error that caused it.
+func TestFailureBeatsSiblingCancellation(t *testing.T) {
+	errX := errors.New("injected")
+	jobs := []Job{
+		{Label: "waiter", Do: func(ctx context.Context) error {
+			<-ctx.Done()
+			return ctx.Err()
+		}},
+		{Label: "failer", Do: func(context.Context) error { return errX }},
+	}
+	if err := Run(Options{Jobs: 2}, jobs); !errors.Is(err, errX) {
+		t.Fatalf("err = %v, want the failing job's %v", err, errX)
+	}
+}
+
 func TestJobsOneIsSerialSubmissionOrder(t *testing.T) {
 	var order []int
 	jobs := make([]Job, 10)

@@ -473,7 +473,10 @@ func TestShutdownDrains(t *testing.T) {
 // contract: when the context expires first, Shutdown severs the stalled
 // session and returns the context error instead of hanging.
 func TestShutdownExpiredSeversConnections(t *testing.T) {
-	s, err := New(Config{Addr: "127.0.0.1:0"})
+	rec := obs.New()
+	sig := &startSignal{tenant: "staller", started: make(chan struct{})}
+	rec.SetSink(sig)
+	s, err := New(Config{Addr: "127.0.0.1:0", Obs: rec})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -489,7 +492,15 @@ func TestShutdownExpiredSeversConnections(t *testing.T) {
 	if err := writeFrame(c.conn, FrameHello, payload); err != nil {
 		t.Fatal(err)
 	}
-	// Stall: never send data, never FIN.
+	// Stall: never send data, never FIN. Wait until the session runs: a
+	// connection still in the accept backlog when Shutdown begins may be
+	// reset instead of drained (DESIGN.md §12), and then Shutdown has
+	// nothing to wait for.
+	select {
+	case <-sig.started:
+	case <-time.After(10 * time.Second):
+		t.Fatal("session never started")
+	}
 	ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
 	defer cancel()
 	if err := s.Shutdown(ctx); err != context.DeadlineExceeded {

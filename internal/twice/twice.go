@@ -172,99 +172,57 @@ func (t *TWiCe) Prunes() int64 { return t.prunes }
 // Overflows returns how many allocations found the table full.
 func (t *TWiCe) Overflows() int64 { return t.overflows }
 
-// AppendOnActivate implements mitigation.Mitigator.
+// AppendOnActivate implements mitigation.Mitigator as a batch of one.
 func (t *TWiCe) AppendOnActivate(dst []mitigation.VictimRefresh, row int, now dram.Time) []mitigation.VictimRefresh {
-	e, ok := t.table[row]
-	if !ok {
-		if len(t.table) >= t.params.MaxEntries {
-			// Table overflow: conservatively treat the new row as a
-			// potential aggressor — refresh its victims instead of
-			// tracking it. This keeps the no-false-negative guarantee at
-			// the price of extra refreshes (TWiCe's sizing makes this
-			// unreachable in practice; the counter records it).
-			t.overflows++
-			t.refreshes++
-			return append(dst, mitigation.VictimRefresh{Aggressor: row, Distance: t.cfg.Distance})
-		}
-		t.table[row] = &entry{count: 1}
-		return dst
-	}
-	e.count++
-	if e.count >= t.params.ThRH {
-		// Victim refresh; the entry restarts with clean neighbors.
-		e.count = 0
-		e.life = 0
-		t.refreshes++
-		return append(dst, mitigation.VictimRefresh{Aggressor: row, Distance: t.cfg.Distance})
-	}
+	rows, nows := [1]int32{int32(row)}, [1]dram.Time{now}
+	dst, _ = t.AppendOnActivateBatch(dst, rows[:], nows[:], nil)
 	return dst
 }
 
-// AppendOnActivateBatch implements mitigation.Mitigator with a fused loop:
-// the table map, thresholds, and capacity load once per run, and the loop
-// stops after the first ACT that issues a refresh (threshold hit or
-// overflow), per the batch contract.
-func (t *TWiCe) AppendOnActivateBatch(dst []mitigation.VictimRefresh, rows []int32, now, dwell []dram.Time) ([]mitigation.VictimRefresh, int) {
-	if t.cfg.Rowpress && dwell != nil {
-		return t.appendBatchRowpress(dst, rows, now, dwell)
-	}
-	table, thRH, maxEntries := t.table, t.params.ThRH, t.params.MaxEntries
-	for i, r := range rows {
-		row := int(r)
-		e, ok := table[row]
-		if !ok {
-			if len(table) >= maxEntries {
-				t.overflows++
-				t.refreshes++
-				return append(dst, mitigation.VictimRefresh{Aggressor: row, Distance: t.cfg.Distance}), i + 1
-			}
-			table[row] = &entry{count: 1}
-			continue
-		}
-		e.count++
-		if e.count >= thRH {
-			e.count = 0
-			e.life = 0
-			t.refreshes++
-			return append(dst, mitigation.VictimRefresh{Aggressor: row, Distance: t.cfg.Distance}), i + 1
-		}
-	}
-	return dst, len(rows)
-}
-
-// appendBatchRowpress is the duration-aware batch path: each ACT's dwell
-// converts to a counter increment (mitigation.RowpressIncrement with the
-// configured NRAS and RowpressIncrementTicks), so a long-open aggressor
-// reaches th_RH in proportionally fewer ACTs — matching how its RowPress
-// disturbance grows. An all-minimum-dwell stream (every increment 1) is
-// byte-identical to the legacy loop, including the quirk that a freshly
-// allocated entry never triggers on its first unit observation; a weighted
-// first observation that already reaches th_RH does trigger, because those
+// AppendOnActivateBatch implements mitigation.Mitigator with one fused
+// loop: the table map and threshold load once per run, and the loop stops
+// after the first ACT that issues a refresh (threshold hit or overflow),
+// per the batch contract. Each ACT adds its counter increment: 1, or under
+// Config.Rowpress mitigation.RowpressIncrement of its dwell, so a
+// long-open aggressor reaches th_RH in proportionally fewer ACTs —
+// matching how its RowPress disturbance grows. A freshly allocated entry
+// never triggers on a first observation of 1; a weighted first
+// observation that already reaches th_RH does trigger, because those
 // skipped increments would otherwise be charge the guarantee never sees.
-func (t *TWiCe) appendBatchRowpress(dst []mitigation.VictimRefresh, rows []int32, now, dwell []dram.Time) ([]mitigation.VictimRefresh, int) {
-	table, thRH, maxEntries := t.table, t.params.ThRH, t.params.MaxEntries
-	nras, incTicks := t.cfg.NRAS, t.cfg.RowpressIncrementTicks
+func (t *TWiCe) AppendOnActivateBatch(dst []mitigation.VictimRefresh, rows []int32, now, dwell []dram.Time) ([]mitigation.VictimRefresh, int) {
+	if !t.cfg.Rowpress {
+		dwell = nil
+	}
+	table, thRH := t.table, t.params.ThRH
 	for i, r := range rows {
 		row := int(r)
-		inc := mitigation.RowpressIncrement(dwell[i], nras, incTicks)
 		e, ok := table[row]
-		if !ok {
-			if len(table) >= maxEntries {
+		inc := int64(1)
+		if dwell != nil {
+			inc = mitigation.RowpressIncrement(dwell[i], t.cfg.NRAS, t.cfg.RowpressIncrementTicks)
+		}
+		if ok {
+			if e.count += inc; e.count < thRH {
+				continue
+			}
+		} else {
+			if len(table) >= t.params.MaxEntries {
+				// Table overflow: conservatively treat the new row as a
+				// potential aggressor — refresh its victims instead of
+				// tracking it. This keeps the no-false-negative guarantee
+				// at the price of extra refreshes (TWiCe's sizing makes
+				// this unreachable in practice; the counter records it).
 				t.overflows++
 				t.refreshes++
 				return append(dst, mitigation.VictimRefresh{Aggressor: row, Distance: t.cfg.Distance}), i + 1
 			}
 			e = &entry{count: inc}
 			table[row] = e
-			if inc == 1 || e.count < thRH {
-				continue
-			}
-		} else {
-			e.count += inc
-			if e.count < thRH {
+			if inc < max(thRH, 2) { // a first observation of 1 never triggers
 				continue
 			}
 		}
+		// Victim refresh; the entry restarts with clean neighbors.
 		e.count = 0
 		e.life = 0
 		t.refreshes++
