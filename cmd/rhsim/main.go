@@ -28,7 +28,6 @@ import (
 	"graphene/internal/sched"
 	"graphene/internal/sim"
 	"graphene/internal/stats"
-	"graphene/internal/trace"
 )
 
 // options carries one simulation request.
@@ -141,29 +140,32 @@ func run(w io.Writer, rec *obs.Recorder, o options) (flipped bool, err error) {
 	sc.WorkloadAccesses = o.acts
 	sc.AdversarialWindows = o.windows
 
-	var gen, baseGen trace.Generator
+	// The baseline (slowdown reference) and protected replays: a recorded
+	// trace's shared blocks, or two generators of the named workload.
+	var baseRun, protRun func(memctrl.Config) (memctrl.Result, error)
 	geo := sc.Geometry
 	if o.trace != "" {
-		// A recorded trace replaces the generator on both runs; LoadTraces
-		// grows the geometry when the trace doesn't fit Quick()'s grid.
+		// LoadTraces grows the geometry to fit the trace.
 		traces, eff, err := sim.LoadTraces(sc, []string{o.trace})
 		if err != nil {
 			return false, err
 		}
 		tr := traces[0]
-		gen, baseGen = tr.Generator(), tr.Generator()
+		baseRun = func(cfg memctrl.Config) (memctrl.Result, error) { return memctrl.RunBlocks(cfg, tr.Source()) }
+		protRun = baseRun
 		geo = eff.Geometry
 		o.workload = tr.Name
 	} else {
-		var attack bool
-		gen, attack, err = sim.BuildWorkload(o.workload, sc, o.trh)
+		gen, attack, err := sim.BuildWorkload(o.workload, sc, o.trh)
 		if err != nil {
 			return false, err
 		}
 		if attack {
 			geo = dram.Geometry{Channels: 1, RanksPerChan: 1, BanksPerRank: 1, RowsPerBank: sc.Geometry.RowsPerBank}
 		}
-		baseGen, _, _ = sim.BuildWorkload(o.workload, sc, o.trh)
+		baseGen, _, _ := sim.BuildWorkload(o.workload, sc, o.trh)
+		baseRun = func(cfg memctrl.Config) (memctrl.Result, error) { return memctrl.Run(cfg, baseGen) }
+		protRun = func(cfg memctrl.Config) (memctrl.Result, error) { return memctrl.Run(cfg, gen) }
 	}
 	factory, name, err := sim.BuildScheme(o.scheme, o.trh, o.k, o.distance, geo.RowsPerBank, sc)
 	if err != nil {
@@ -177,7 +179,7 @@ func run(w io.Writer, rec *obs.Recorder, o options) (flipped bool, err error) {
 	var base, res memctrl.Result
 	jobs := []sched.Job{
 		{Label: o.workload + "/baseline", Do: func(context.Context) error {
-			r, err := memctrl.Run(memctrl.Config{Geometry: geo, Timing: sc.Timing, Obs: rec, Fault: fault}, baseGen)
+			r, err := baseRun(memctrl.Config{Geometry: geo, Timing: sc.Timing, Obs: rec, Fault: fault})
 			if err != nil {
 				return fmt.Errorf("baseline: %w", err)
 			}
@@ -185,11 +187,11 @@ func run(w io.Writer, rec *obs.Recorder, o options) (flipped bool, err error) {
 			return nil
 		}},
 		{Label: o.workload + "/" + name, Do: func(context.Context) error {
-			r, err := memctrl.Run(memctrl.Config{
+			r, err := protRun(memctrl.Config{
 				Geometry: geo, Timing: sc.Timing,
 				Factory: factory, TRH: o.trh, OracleDistance: o.distance,
 				Obs: rec, Fault: fault,
-			}, gen)
+			})
 			if err != nil {
 				return err
 			}

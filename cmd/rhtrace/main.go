@@ -172,9 +172,9 @@ func doConvert(in, out, to string) error {
 // doReplay runs a trace file through the simulator under one scheme. The
 // format is auto-detected: a binary trace streams block-direct into the
 // bank-parallel replay path, with the geometry's bank count read straight
-// from the header; a text trace is parsed once and its single in-memory
-// pass both sizes the geometry and feeds the replay (the old path parsed
-// the file and then drained a generator copy a second time).
+// from the header; a text trace is parsed once into columnar blocks
+// (trace.ReadBlocks), which size the geometry and take the same RunBlocks
+// route.
 func doReplay(path, scheme string, trh int64, banks int, seed int64) error {
 	f, err := os.Open(path)
 	if err != nil {
@@ -184,7 +184,7 @@ func doReplay(path, scheme string, trh int64, banks int, seed int64) error {
 
 	sc := sim.Quick()
 	sc.Seed = seed
-	replay := func(banks int, name string, naccs int64, run func(memctrl.Config) (memctrl.Result, error)) error {
+	replay := func(banks int, naccs int64, src memctrl.ColBlockSource) error {
 		if banks == 0 {
 			banks = 1 // empty trace: keep a valid 1-bank geometry
 		}
@@ -193,13 +193,13 @@ func doReplay(path, scheme string, trh int64, banks int, seed int64) error {
 		if err != nil {
 			return err
 		}
-		res, err := run(memctrl.Config{
+		res, err := memctrl.RunBlocks(memctrl.Config{
 			Geometry: geo, Timing: sc.Timing, Factory: factory, TRH: trh,
-		})
+		}, src)
 		if err != nil {
 			return err
 		}
-		fmt.Printf("trace              %s (%d accesses, %d banks)\n", name, naccs, banks)
+		fmt.Printf("trace              %s (%d accesses, %d banks)\n", src.Name(), naccs, banks)
 		fmt.Printf("scheme             %s\n", schemeName)
 		fmt.Printf("victim refreshes   %d commands, %d rows\n", res.NRRCommands, res.RowsVictim)
 		fmt.Printf("refresh overhead   %s\n", stats.Pct(res.RefreshOverhead()))
@@ -217,20 +217,16 @@ func doReplay(path, scheme string, trh int64, banks int, seed int64) error {
 		if banks == 0 {
 			banks = br.Banks()
 		}
-		return replay(banks, br.Name(), br.Total(), func(cfg memctrl.Config) (memctrl.Result, error) {
-			return memctrl.RunBlocks(cfg, br)
-		})
+		return replay(banks, br.Total(), br)
 	case errors.Is(err, trace.ErrNotBinary):
-		tr, err := trace.ReadAll(src, path)
+		tr, err := trace.ReadBlocks(src, path)
 		if err != nil {
 			return err
 		}
 		if banks == 0 {
 			banks, _ = tr.Dims()
 		}
-		return replay(banks, tr.Name, int64(len(tr.Accs)), func(cfg memctrl.Config) (memctrl.Result, error) {
-			return memctrl.Run(cfg, tr.Generator())
-		})
+		return replay(banks, tr.Accs, tr.Source())
 	default:
 		return err
 	}

@@ -218,16 +218,14 @@ func (o *Oracle) TopVictims(n int) []VictimReport {
 	}
 	top := make([]VictimReport, 0, n+1)
 	for row, d := range o.disturb {
-		if d == 0 {
+		// A full list skips every row that would not enter it.
+		if d == 0 || len(top) == n && d <= top[n-1].Disturbance {
 			continue
 		}
 		// Insertion into the small sorted slice.
 		i := len(top)
 		for i > 0 && top[i-1].Disturbance < d {
 			i--
-		}
-		if i >= n {
-			continue
 		}
 		top = append(top, VictimReport{})
 		copy(top[i+1:], top[i:])

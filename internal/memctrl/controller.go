@@ -377,10 +377,12 @@ func run(cfg Config, workload string, replay replayFunc) (Result, error) {
 			BusyTime:    st.BusyTime,
 		})
 		if s.oracle != nil {
-			if _, d := s.oracle.MaxDisturbance(); d > res.MaxDisturbance {
-				res.MaxDisturbance = d
+			// One scan: the bank's maximum is its top victim's disturbance.
+			top := s.oracle.TopVictims(3)
+			if len(top) > 0 && top[0].Disturbance > res.MaxDisturbance {
+				res.MaxDisturbance = top[0].Disturbance
 			}
-			for _, v := range s.oracle.TopVictims(3) {
+			for _, v := range top {
 				res.TopVictims = append(res.TopVictims, BankVictim{Bank: bi, VictimReport: v})
 			}
 		}

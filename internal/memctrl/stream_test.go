@@ -163,6 +163,45 @@ func diffCases(t *testing.T) []diffCase {
 		},
 	})
 
+	// DDR5 profile: RFM banks (RAAIMT > 0) interleave a Refresh Management
+	// command with the ACT stream. The dwell-carrying trace drives Graphene
+	// RowPress and the duration-weighted oracle; the same trace replays
+	// under pure timing (no scheme, no oracle) and under PARA.
+	ddr5 := dram.DDR5()
+	ddr5Gen := func() trace.Generator {
+		var i int64
+		return trace.FromFunc("ddr5-dwell", func() (trace.Access, bool) {
+			if i >= 50_000 {
+				return trace.Access{}, false
+			}
+			i++
+			a := trace.Access{Bank: int(i % 4), Row: int((i * 31) % 24), Gap: dram.Time(i%3) * dram.Nanosecond}
+			if i%5 == 0 {
+				a.Dwell = dram.Time(i%4) * ddr5.NRAS()
+			}
+			return a, true
+		})
+	}
+	for _, leg := range []struct {
+		name    string
+		factory func() mitigation.Factory
+		trh     int64
+	}{
+		{"graphene-rowpress", func() mitigation.Factory {
+			return graphene.Factory(graphene.Config{TRH: trh, K: 2, Rows: multi.RowsPerBank, Timing: ddr5, Rowpress: true})
+		}, trh},
+		{"timing", func() mitigation.Factory { return nil }, 0},
+		{"para", func() mitigation.Factory { return para.Factory(para.Classic(0.01, multi.RowsPerBank, 5)) }, trh},
+	} {
+		cases = append(cases, diffCase{
+			name: "ddr5/" + leg.name,
+			mkCfg: func() Config {
+				return Config{Geometry: multi, Timing: ddr5, Factory: leg.factory(), TRH: leg.trh}
+			},
+			mkGen: ddr5Gen,
+		})
+	}
+
 	// Chunk-boundary lengths: empty trace, one access, one access around a
 	// full chunk, and several chunks plus a partial tail.
 	for _, n := range []int{0, 1, streamChunk - 1, streamChunk, streamChunk + 1, 3*streamChunk + 7} {

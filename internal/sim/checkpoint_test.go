@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"path/filepath"
@@ -10,6 +12,7 @@ import (
 	"graphene/internal/faultinject"
 	"graphene/internal/obs"
 	"graphene/internal/sched"
+	"graphene/internal/trace"
 	"graphene/internal/workload"
 )
 
@@ -166,5 +169,68 @@ func TestCheckpointKeyedByScale(t *testing.T) {
 	}
 	if n := rec.Snapshot().Counters["cells_restored_total"]; n != 0 {
 		t.Errorf("cells_restored_total = %d, want 0 (journal is for another scale)", n)
+	}
+}
+
+// TestTraceSweepCheckpointResume is the acceptance scenario for recorded
+// traces: a trace sweep killed by an injected fault, restarted against its
+// checkpoint journal, must reassemble output byte-identical to an
+// uninterrupted serial sweep.
+func TestTraceSweepCheckpointResume(t *testing.T) {
+	sc := fastScale()
+	const trh = 2_000
+	dir := t.TempDir()
+	accs := adversarialMix(t, sc.Geometry.RowsPerBank)
+	paths := []string{
+		writeTraceFile(t, dir, "adv.trace", trace.FromSlice("adv-text", accs), false),
+		writeTraceFile(t, dir, "adv.bin", trace.FromSlice("adv-binary", accs), true),
+	}
+	want, _, err := TraceSweepOpts(sc, trh, paths, Options{Jobs: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cells := len(want) * len(want[0].Cells)
+
+	path := filepath.Join(dir, "sweep.ckpt")
+	ck, err := sched.OpenCheckpoint(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inj, err := faultinject.New("sched.job:error:4")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := TraceSweepOpts(sc, trh, paths, Options{Jobs: 2, Fault: inj, Checkpoint: ck}); !errors.Is(err, faultinject.ErrInjected) {
+		t.Fatalf("killed sweep err = %v, want the injected fault", err)
+	}
+	if err := ck.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	ck, err = sched.OpenCheckpoint(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ck.Close()
+	if n := ck.Len(); n == 0 || n >= cells {
+		t.Fatalf("killed sweep journaled %d of %d cells, want some but not all", n, cells)
+	}
+	got, _, err := TraceSweepOpts(sc, trh, paths, Options{Jobs: 4, Checkpoint: ck})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotJSON, err := json.Marshal(got)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantJSON, err := json.Marshal(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(gotJSON, wantJSON) {
+		t.Errorf("resumed trace sweep diverges from the uninterrupted run:\n got  %s\n want %s", gotJSON, wantJSON)
+	}
+	if ck.Len() != cells {
+		t.Errorf("journal holds %d cells after resume, want %d", ck.Len(), cells)
 	}
 }

@@ -91,15 +91,25 @@ func (p *sweepPlan) cellKey(label string) string {
 	return fmt.Sprintf("%016x|%s", h.Sum64(), label)
 }
 
-// baseline returns the memoized unprotected run for one workload. gen is
-// consumed by whichever cell computes the baseline first; the memo's
-// single-flight guarantee means that happens exactly once, so the
-// single-use generator is safe to capture.
-func (p *sweepPlan) baseline(geo dram.Geometry, gen trace.Generator) func() (memctrl.Result, error) {
-	name := gen.Name()
+// replay runs one trace under a config: memctrl.Run over a single-use
+// generator, so each generator cell gets its own replay, or
+// memctrl.RunBlocks over a fresh cursor on a loaded trace's shared blocks,
+// which one trace's baseline and cells share.
+type replay func(memctrl.Config) (memctrl.Result, error)
+
+// genReplay wraps a single-use generator as a replay.
+func genReplay(gen trace.Generator) replay {
+	return func(cfg memctrl.Config) (memctrl.Result, error) { return memctrl.Run(cfg, gen) }
+}
+
+// baseline returns the memoized unprotected run of workload name. rp is
+// called by whichever cell computes the baseline first; the memo's
+// single-flight guarantee means that happens exactly once, so a replay
+// over a single-use generator is safe to capture.
+func (p *sweepPlan) baseline(geo dram.Geometry, name string, rp replay) func() (memctrl.Result, error) {
 	return func() (memctrl.Result, error) {
 		return p.memo.Do(name, func() (memctrl.Result, error) {
-			res, err := memctrl.Run(memctrl.Config{Geometry: geo, Timing: p.sc.Timing, Obs: p.obs, Fault: p.fault}, gen)
+			res, err := rp(memctrl.Config{Geometry: geo, Timing: p.sc.Timing, Obs: p.obs, Fault: p.fault})
 			if err != nil {
 				return memctrl.Result{}, fmt.Errorf("sim: baseline %s: %w", name, err)
 			}
@@ -111,7 +121,7 @@ func (p *sweepPlan) baseline(geo dram.Geometry, gen trace.Generator) func() (mem
 // addCell schedules one protected run. factory is the cell's slot in its
 // scheme's ordered handoff (nil for an unprotected spec); base supplies the
 // memoized baseline; the measured cell lands in *slot.
-func (p *sweepPlan) addCell(geo dram.Geometry, trh int64, spec Spec, factory func(context.Context) mitigation.Factory, wname string, gen trace.Generator, base func() (memctrl.Result, error), slot *Cell) {
+func (p *sweepPlan) addCell(geo dram.Geometry, trh int64, spec Spec, factory func(context.Context) mitigation.Factory, wname string, rp replay, base func() (memctrl.Result, error), slot *Cell) {
 	label := fmt.Sprintf("%s/%s trh=%d", wname, spec.Name, trh)
 	key := p.cellKey(label)
 	var prev Cell
@@ -143,10 +153,10 @@ func (p *sweepPlan) addCell(geo dram.Geometry, trh int64, spec Spec, factory fun
 		if factory != nil {
 			f = factory(ctx)
 		}
-		res, err := memctrl.Run(memctrl.Config{
+		res, err := rp(memctrl.Config{
 			Geometry: geo, Timing: p.sc.Timing,
 			Factory: f, TRH: trh, Obs: p.obs, Fault: p.fault,
-		}, gen)
+		})
 		if err != nil {
 			return fmt.Errorf("sim: %s/%s: %w", wname, spec.Name, err)
 		}
@@ -271,7 +281,7 @@ func profileRows(p *sweepPlan, sc Scale, trh int64, profiles []workload.Profile,
 			if err != nil {
 				return nil, err
 			}
-			p.addCell(sc.Geometry, trh, spec, ofs[si].reserve(nbanks), prof.Name, gen, bases[wi], &rows[wi].Cells[si])
+			p.addCell(sc.Geometry, trh, spec, ofs[si].reserve(nbanks), prof.Name, genReplay(gen), bases[wi], &rows[wi].Cells[si])
 		}
 	}
 	return rows, nil
@@ -286,7 +296,7 @@ func profileBaselines(p *sweepPlan, sc Scale, profiles []workload.Profile) ([]fu
 		if err != nil {
 			return nil, err
 		}
-		bases[wi] = p.baseline(sc.Geometry, gen)
+		bases[wi] = p.baseline(sc.Geometry, gen.Name(), genReplay(gen))
 	}
 	return bases, nil
 }
@@ -358,7 +368,7 @@ func adversarialGrid(p *sweepPlan, geo dram.Geometry, trh int64, schemes []Spec,
 	for wi, mk := range pats {
 		rows[wi] = Row{Workload: names[wi], Cells: make([]Cell, len(schemes))}
 		for si, spec := range schemes {
-			p.addCell(geo, trh, spec, ofs[si].reserve(nbanks), names[wi], mk(), bases[wi], &rows[wi].Cells[si])
+			p.addCell(geo, trh, spec, ofs[si].reserve(nbanks), names[wi], genReplay(mk()), bases[wi], &rows[wi].Cells[si])
 		}
 	}
 	return rows
@@ -374,7 +384,7 @@ func adversarialBaselines(p *sweepPlan, geo dram.Geometry, pats []func() trace.G
 	for wi, mk := range pats {
 		gen := mk()
 		names[wi] = gen.Name()
-		bases[wi] = p.baseline(geo, gen)
+		bases[wi] = p.baseline(geo, names[wi], genReplay(gen))
 	}
 	return names, bases
 }

@@ -5,9 +5,11 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"graphene/internal/dram"
+	"graphene/internal/memctrl"
 	"graphene/internal/trace"
 	"graphene/internal/workload"
 )
@@ -121,5 +123,164 @@ func TestLoadTracesDefaultGeometry(t *testing.T) {
 	}
 	if eff.Geometry != dram.Default() {
 		t.Errorf("geometry = %+v, want dram.Default()", eff.Geometry)
+	}
+}
+
+// adversarialMix is an 8-bank adversarial trace — S2, many-sided,
+// TRRespass and S4 patterns, two banks each, interleaved — long enough to
+// span two binary segments.
+func adversarialMix(t *testing.T, rows int) []trace.Access {
+	t.Helper()
+	const banks, per = 8, 12_000
+	gens := make([]trace.Generator, banks)
+	for b := range gens {
+		seed := int64(b + 1)
+		base := rows/4 + b*64
+		switch b % 4 {
+		case 0:
+			gens[b] = workload.S2(b, rows, 10, 0.2, per, seed)
+		case 1:
+			gens[b] = workload.ManySided(b, base, 20, per)
+		case 2:
+			gens[b] = workload.TRRespassPattern(b, base, 10, 0.5, per, seed)
+		case 3:
+			gens[b] = workload.S4(b, rows, rows/2, 0.5, per, seed)
+		}
+	}
+	mix, err := workload.Mix("adversarial", 1, gens...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return trace.Collect(mix)
+}
+
+// structSweep is the struct route a trace sweep replaced: every cell and
+// baseline replays trace.LoadFile(path).Generator() through memctrl.Run,
+// traces outer and schemes inner — the serial order the sweep's ordered
+// factories reproduce.
+func structSweep(t *testing.T, sc Scale, trh int64, paths []string) []Row {
+	t.Helper()
+	_, eff, err := LoadTraces(sc, paths)
+	if err != nil {
+		t.Fatal(err)
+	}
+	schemes, err := CounterSchemes(trh, eff)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rows []Row
+	for _, path := range paths {
+		tr, err := trace.LoadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := memctrl.Config{Geometry: eff.Geometry, Timing: eff.Timing}
+		base, err := memctrl.Run(cfg, tr.Generator())
+		if err != nil {
+			t.Fatal(err)
+		}
+		row := Row{Workload: tr.Name}
+		for _, spec := range schemes {
+			cfg.Factory, cfg.TRH = spec.Factory, trh
+			res, err := memctrl.Run(cfg, tr.Generator())
+			if err != nil {
+				t.Fatal(err)
+			}
+			row.Cells = append(row.Cells, Cell{
+				Scheme: spec.Name, RefreshOverhead: res.RefreshOverhead(), Slowdown: res.SlowdownVs(base),
+				VictimRows: res.RowsVictim, NRRCommands: res.NRRCommands, Flips: len(res.Flips),
+			})
+		}
+		rows = append(rows, row)
+	}
+	return rows
+}
+
+// TestTraceSweepMatchesStructRoute pins the trace sweep's shared-block
+// route against the struct route it replaced, for one adversarial trace
+// stored as text and as binary, at one worker and at four.
+func TestTraceSweepMatchesStructRoute(t *testing.T) {
+	sc := fastScale()
+	const trh = 2_000
+	dir := t.TempDir()
+	accs := adversarialMix(t, sc.Geometry.RowsPerBank)
+	paths := []string{
+		writeTraceFile(t, dir, "adv.trace", trace.FromSlice("adv-text", accs), false),
+		writeTraceFile(t, dir, "adv.bin", trace.FromSlice("adv-binary", accs), true),
+	}
+	want := structSweep(t, sc, trh, paths)
+	for _, jobs := range []int{1, 4} {
+		got, eff, err := TraceSweepOpts(sc, trh, paths, Options{Jobs: jobs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if eff.Geometry.Banks() != 8 {
+			t.Errorf("jobs=%d: geometry has %d banks, want 8", jobs, eff.Geometry.Banks())
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("jobs=%d: trace sweep diverges from the struct route:\n got  %+v\n want %+v", jobs, got, want)
+		}
+	}
+}
+
+// TestLoadTracesTruncatedBinary: a binary trace cut short fails LoadTraces
+// with the codec's own error, never a silently short trace.
+func TestLoadTracesTruncatedBinary(t *testing.T) {
+	dir := t.TempDir()
+	path := writeTraceFile(t, dir, "adv.bin", trace.FromSlice("adv", adversarialMix(t, 1<<16)), true)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, data[:len(data)-5], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, codecErr := trace.LoadFile(path)
+	if codecErr == nil {
+		t.Fatal("codec accepted a truncated trace")
+	}
+	_, _, err = LoadTraces(fastScale(), []string{path})
+	if err == nil || !strings.Contains(err.Error(), codecErr.Error()) {
+		t.Errorf("LoadTraces err = %v, want the codec's %q", err, codecErr)
+	}
+}
+
+// TestLoadedTraceConcurrentReplays: one loaded trace's shared blocks are
+// read-only, so concurrent replays of it — what a parallel sweep does —
+// must all produce the same Result (run under -race in make race).
+func TestLoadedTraceConcurrentReplays(t *testing.T) {
+	sc := fastScale()
+	dir := t.TempDir()
+	path := writeTraceFile(t, dir, "adv.bin", trace.FromSlice("adv", adversarialMix(t, sc.Geometry.RowsPerBank)), true)
+	traces, eff, err := LoadTraces(sc, []string{path})
+	if err != nil {
+		t.Fatal(err)
+	}
+	schemes, err := CounterSchemes(50_000, eff)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const replays = 4
+	results := make([]memctrl.Result, replays)
+	errs := make([]error, replays)
+	var wg sync.WaitGroup
+	for i := range results {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			results[i], errs[i] = memctrl.RunBlocks(memctrl.Config{
+				Geometry: eff.Geometry, Timing: eff.Timing,
+				Factory: schemes[0].Factory, TRH: 50_000,
+			}, traces[0].Source())
+		}()
+	}
+	wg.Wait()
+	for i := range results {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		if !reflect.DeepEqual(results[i], results[0]) {
+			t.Errorf("replay %d diverges from replay 0:\n got  %+v\n want %+v", i, results[i], results[0])
+		}
 	}
 }
