@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test test-race test-short bench bench-sweep bench-obs bench-fault bench-trace bench-replay bench-rowpress bench-serve perfbench-build fuzz race tables security examples check
+.PHONY: all build vet test test-race test-short bench bench-sweep bench-obs bench-fault bench-trace bench-replay bench-rowpress bench-serve perfbench-build fuzz race tables security examples loc check
 
 all: check
 
@@ -56,15 +56,16 @@ bench-trace:
 
 # Batched replay gate (DESIGN.md §9, §11): the zero-alloc tests pin both
 # replay paths at exactly 0 allocations in steady state — the batch core
-# and the scalar replayOne that REF-boundary ACTs, CRA and RFM banks take
-# (testing.AllocsPerRun, which caught the 7 allocs per trigger cycle the
-# pre-append API hid under benchmem's integer rounding). Then the engine
-# pair benchmarks (identical ACT runs through the scalar replayOne loop vs
-# the batched replayRun), the per-ACT replayOne hot-path benchmarks, and
-# the all-banks aggregate pair (buffered per-ACT replay vs columnar
-# RunBlocks ingest) record their numbers into BENCH_replay.json. rhbench
-# asserts ≥3x batch-vs-scalar on trigger-light replay, ≥1.3x end-to-end
-# aggregate, and 0 allocs/op on every batch engine and hot-path bench.
+# (DDR4 and DDR5/RFM legs) and the scalar replayOne that REF-boundary
+# ACTs and CRA take (testing.AllocsPerRun, which caught the 7 allocs per
+# trigger cycle the pre-append API hid under benchmem's integer
+# rounding). Then the engine pair benchmarks (identical ACT runs through
+# the scalar replayOne loop vs the batched replayRun), the per-ACT
+# replayOne hot-path benchmarks, and the all-banks aggregate pair
+# (buffered per-ACT replay vs columnar RunBlocks ingest) record their
+# numbers into BENCH_replay.json. rhbench asserts ≥3x batch-vs-scalar on
+# trigger-light replay, ≥1.3x end-to-end aggregate, and 0 allocs/op on
+# every batch engine and hot-path bench.
 bench-replay:
 	$(GO) test -run 'TestReplayBatchZeroAlloc|TestReplayHotPathZeroAlloc' ./internal/memctrl
 	$(GO) test -run xxx -bench 'BenchmarkReplayEngine' -benchtime 500x -count 3 -benchmem ./internal/memctrl > BENCH_replay.txt
@@ -142,6 +143,11 @@ fuzz:
 	$(GO) test ./internal/memctrl -fuzz=FuzzBatchSplit -fuzztime=30s -run xxx
 	$(GO) test ./internal/mitigation -fuzz=FuzzStackAppend -fuzztime=30s -run xxx
 	$(GO) test ./internal/serve -fuzz=FuzzWireSession -fuzztime=30s -run xxx
+
+# Non-test Go lines under internal/ and cmd/: the size measure ROADMAP.md
+# tracks across refactors. Informational, not part of check.
+loc:
+	@find internal cmd -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l
 
 tables:
 	$(GO) run ./cmd/rhtables -all

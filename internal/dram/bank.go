@@ -1,6 +1,9 @@
 package dram
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Bank models a single DRAM bank: its row array, the rolling auto-refresh
 // pointer, per-row last-refresh times, and occupancy. The memory controller
@@ -131,24 +134,29 @@ func (t Timing) ActCycle(dwell Time) Time {
 
 // ActivateRun accounts a run of count activations in one step — the batched
 // replay's bank-side bookkeeping (DESIGN.md §11). The caller has already
-// walked the occupancy recurrence Activate uses (start = max(arrival,
-// busyUntil), end = start + tRC, arrival_next = end + gap) across the run;
-// end is the completion time of the run's last activation, and the rows
-// must have been range-checked upstream. Equivalent to count Activate
-// calls: same ACT count, same tRC-per-ACT busy time, same final busyUntil.
-func (b *Bank) ActivateRun(count int, end Time) {
-	b.ActivateRunOpen(count, Time(count)*b.timing.TRC, end)
-}
-
-// ActivateRunOpen is ActivateRun for a run whose activations carried
-// explicit dwells: busy is the summed per-ACT occupancy (Σ ActCycle(dwell))
-// the caller accumulated while walking the recurrence. Equivalent to count
-// ActivateOpen calls ending at end.
-func (b *Bank) ActivateRunOpen(count int, busy, end Time) {
+// walked the occupancy recurrence ActivateOpen uses (start = max(arrival,
+// busyUntil), end = start + ActCycle(dwell), arrival_next = end + gap)
+// across the run; busy is the summed per-ACT occupancy (Σ ActCycle(dwell),
+// count × tRC without dwells), end is the completion time of the run's
+// last activation, and the rows must have been range-checked upstream.
+// Equivalent to count ActivateOpen calls: same ACT count, same busy time,
+// same final busyUntil, same RAA count.
+func (b *Bank) ActivateRun(count int, busy, end Time) {
 	b.stats.ACTs += int64(count)
 	b.stats.BusyTime += busy
 	b.busyUntil = end
 	b.raa += count
+}
+
+// ACTsToRFM returns how many more activations make a Refresh Management
+// command due (RAAIMT − RAA), or math.MaxInt when the timing does not
+// enable RFM. The batched replay ends a run on that activation, so the
+// RFM lands right behind it, as it does on the per-ACT path.
+func (b *Bank) ACTsToRFM() int {
+	if b.timing.RAAIMT <= 0 {
+		return math.MaxInt
+	}
+	return b.timing.RAAIMT - b.raa
 }
 
 // RFMDue reports whether the RAA counter has reached the RAAIMT threshold

@@ -1,6 +1,9 @@
 package dram
 
-import "testing"
+import (
+	"math"
+	"testing"
+)
 
 func newTestBank(t *testing.T, rows int) *Bank {
 	t.Helper()
@@ -180,5 +183,57 @@ func TestBusyTimeAccumulates(t *testing.T) {
 	st := b.Stats()
 	if want := b.Timing().TRC + b.Timing().TRFC; st.BusyTime != want {
 		t.Errorf("BusyTime = %v, want %v", st.BusyTime, want)
+	}
+}
+
+// TestACTsToRFM: a DDR4 bank never owes an RFM however many ACTs it
+// serves; a DDR5 bank counts down to RAAIMT through single and batched
+// activations alike, owes the RFM exactly when the count reaches 0, and
+// RefreshManagement restores the full RAAIMT budget.
+func TestACTsToRFM(t *testing.T) {
+	ddr4 := newTestBank(t, 64)
+	for i := range 100 {
+		if _, err := ddr4.Activate(i%64, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ddr4.ActivateRun(1000, 1000*ddr4.Timing().TRC, 0)
+	if got := ddr4.ACTsToRFM(); got != math.MaxInt {
+		t.Errorf("DDR4 ACTsToRFM after 1100 ACTs = %d, want math.MaxInt", got)
+	}
+	if ddr4.RFMDue() {
+		t.Error("DDR4 bank owes an RFM")
+	}
+
+	timing := DDR5()
+	b, err := NewBank(timing, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	imt := timing.RAAIMT
+	if got := b.ACTsToRFM(); got != imt {
+		t.Fatalf("fresh DDR5 ACTsToRFM = %d, want RAAIMT %d", got, imt)
+	}
+	if _, err := b.ActivateOpen(3, 0, 2*timing.NRAS()); err != nil {
+		t.Fatal(err)
+	}
+	if got := b.ACTsToRFM(); got != imt-1 {
+		t.Errorf("after one ActivateOpen: ACTsToRFM = %d, want %d", got, imt-1)
+	}
+	b.ActivateRun(imt-2, Time(imt-2)*timing.TRC, b.BusyUntil()+Time(imt-2)*timing.TRC)
+	if got := b.ACTsToRFM(); got != 1 || b.RFMDue() {
+		t.Errorf("after ActivateRun(%d): ACTsToRFM = %d (RFM due %v), want 1 and not due", imt-2, got, b.RFMDue())
+	}
+	if _, err := b.Activate(4, 0); err != nil {
+		t.Fatal(err)
+	}
+	if got := b.ACTsToRFM(); got != 0 || !b.RFMDue() {
+		t.Errorf("after RAAIMT ACTs: ACTsToRFM = %d (RFM due %v), want 0 and due", got, b.RFMDue())
+	}
+	if _, err := b.RefreshManagement(b.BusyUntil()); err != nil {
+		t.Fatal(err)
+	}
+	if got := b.ACTsToRFM(); got != imt || b.RFMDue() {
+		t.Errorf("after RefreshManagement: ACTsToRFM = %d (RFM due %v), want %d and not due", got, b.RFMDue(), imt)
 	}
 }

@@ -89,8 +89,9 @@ func (b *Bank) SetRecorder(rec *obs.Recorder, bank int) {
 // converts a threshold trigger into a single in-place append of a
 // ±Distance victim refresh (§III-B, §III-D) — the hot path allocates
 // nothing of its own. It stays a per-ACT Table.Observe rather than a batch
-// of one because RFM banks replay every dwell-less ACT through it, where a
-// batch of one measurably costs end-to-end throughput (DESIGN.md §11).
+// of one: it is the scalar reference FuzzBatchAppend holds the fused path
+// to (through mitigation.ScalarBatch), and the controller reaches it only
+// for an ACT that crosses a refresh boundary (DESIGN.md §11).
 func (b *Bank) AppendOnActivate(dst []mitigation.VictimRefresh, row int, now dram.Time) []mitigation.VictimRefresh {
 	if now >= b.windowEnd {
 		b.advanceWindow(now)

@@ -20,21 +20,23 @@ import (
 const maxBatchRun = 4096
 
 // replayRun advances one bank through a columnar run of ACTs — the batched
-// replay core (DESIGN.md §11). Instead of the scalar path's per-ACT
+// replay core (DESIGN.md §11) every bank takes except CRA's (see
+// replayColBlock). Instead of the scalar path's per-ACT
 // gap/refresh-check/activate/observe/apply sequence, it:
 //
-//  1. walks the occupancy recurrence forward to the event horizon — the
-//     first ACT whose arrival crosses the next auto-refresh boundary (or
-//     the run cap) — precomputing every ACT start time in the run, with no
-//     per-ACT branch on the refresh clock;
+//  1. walks the occupancy recurrence forward, each ACT holding the bank
+//     for ActCycle(dwell), and ends the run before the first ACT whose
+//     arrival crosses the next auto-refresh boundary (the event horizon),
+//     at the run cap, or on the ACT that makes a DDR5 RFM due —
+//     precomputing every ACT start time in the run, with no per-ACT
+//     branch on the refresh clock or the RAA counter;
 //  2. hands the whole run to the mitigator's AppendOnActivateBatch, which
 //     consumes ACTs until its first append (the batch contract: an applied
 //     refresh changes the bank timeline, so later precomputed times would
 //     go stale);
 //  3. feeds the consumed prefix to the oracle, accounts the bank's ACT
-//     run in one ActivateRun call, and applies any refreshes at the
-//     consuming ACT's completion time — exactly when the scalar path
-//     would have.
+//     run and the RFM it made due (activateRun), and applies any
+//     refreshes after both — when and in the order the scalar path would.
 //
 // An ACT that crosses a refresh boundary replays through the scalar
 // replayOne, which runs catchUpREF and everything else; runs resume after
@@ -44,7 +46,7 @@ const maxBatchRun = 4096
 // allocates nothing (TestReplayBatchZeroAlloc).
 func (s *bankState) replayRun(rows []int32, gaps, dwells []dram.Time, bi int, out *bankOut) error {
 	timing := s.bank.Timing()
-	trc := timing.TRC
+	trc, trp := timing.TRC, timing.TRP
 	i, n := 0, len(rows)
 	// With no mitigator, oracle, or remap, nothing consumes per-ACT start
 	// times, so the horizon walk collapses to the bare occupancy recurrence
@@ -55,101 +57,8 @@ func (s *bankState) replayRun(rows []int32, gaps, dwells []dram.Time, bi int, ou
 	// per-ACT occupancy varies.
 	pureTiming := s.mit == nil && s.oracle == nil && s.remap == nil && dwells == nil
 	for i < n {
-		if pureTiming {
-			horizon := s.nextREF
-			arr := s.now + gaps[i]
-			if arr >= horizon {
-				// ACT i crosses the refresh boundary: scalar replayOne runs
-				// catchUpREF and the activation in the canonical order.
-				if err := s.replayOne(trace.Access{Bank: bi, Row: int(rows[i]), Gap: gaps[i]}, bi, out); err != nil {
-					return err
-				}
-				i++
-				continue
-			}
-			// First ACT of the run: completion time may trail busyUntil
-			// (a just-applied refresh occupies the bank past s.now), so
-			// take the full max once. After it, arrival = busy + gap, so
-			// each step is busy += max(gap, 0) + tRC.
-			busy := s.bank.BusyUntil()
-			if busy < arr {
-				busy = arr
-			}
-			busy += trc
-			k := 1
-			lim := i + maxBatchRun
-			if lim > n {
-				lim = n
-			}
-			for _, gap := range gaps[i+1 : lim] {
-				arr := busy + gap
-				if arr >= horizon {
-					break
-				}
-				if gap > 0 {
-					busy = arr
-				}
-				busy += trc
-				k++
-			}
-			s.bank.ActivateRun(k, busy)
-			out.acts += int64(k)
-			s.now = busy
-			i += k
-			continue
-		}
-		// Event horizon: precompute start times through the occupancy
-		// recurrence until an arrival reaches the refresh boundary. Within
-		// a refresh-free run busyUntil never exceeds an arrival after the
-		// first ACT (gaps are non-negative and s.now tracks completion),
-		// but the max is kept unconditionally so a generator-driven
-		// negative gap still replays byte-identically to the scalar path.
-		busy := s.bank.BusyUntil()
-		now := s.now
 		horizon := s.nextREF
-		times := s.runTimes[:0]
-		j := i
-		if dwells == nil {
-			for j < n && j-i < maxBatchRun {
-				arr := now + gaps[j]
-				if arr >= horizon {
-					break
-				}
-				start := arr
-				if busy > start {
-					start = busy
-				}
-				busy = start + trc
-				now = busy
-				times = append(times, start)
-				j++
-			}
-		} else {
-			// The dwell leg is the same recurrence with ActCycle inlined
-			// (max(tRC, dwell+tRP)) and tRP hoisted, so carrying the column
-			// prices only the extra load and compare per ACT.
-			trp := timing.TRP
-			for j < n && j-i < maxBatchRun {
-				arr := now + gaps[j]
-				if arr >= horizon {
-					break
-				}
-				start := arr
-				if busy > start {
-					start = busy
-				}
-				cyc := dwells[j] + trp
-				if cyc < trc {
-					cyc = trc
-				}
-				busy = start + cyc
-				now = busy
-				times = append(times, start)
-				j++
-			}
-		}
-		s.runTimes = times
-		if j == i {
+		if s.now+gaps[i] >= horizon {
 			// ACT i crosses the refresh boundary: replay it through the
 			// scalar path, which interleaves catchUpREF, the tick, and the
 			// activation in the canonical order. Rare — once per tREFI.
@@ -163,16 +72,73 @@ func (s *bankState) replayRun(rows []int32, gaps, dwells []dram.Time, bi int, ou
 			i++
 			continue
 		}
+		// The run ends at the cap, the block's end, or the ACT that makes
+		// the next RFM due; it keeps at least one ACT, as replayOne
+		// activates before it checks for an owed RFM.
+		lim := min(n-i, maxBatchRun)
+		if r := s.bank.ACTsToRFM(); r < lim {
+			lim = max(r, 1)
+		}
+		if pureTiming {
+			// First ACT: completion time may trail busyUntil (a just-applied
+			// refresh occupies the bank past s.now), so take the full max
+			// once. After it, arrival = busy + gap, so each step is
+			// busy += max(gap, 0) + tRC.
+			busy := max(s.bank.BusyUntil(), s.now+gaps[i]) + trc
+			k := 1
+			for _, gap := range gaps[i+1 : i+lim] {
+				arr := busy + gap
+				if arr >= horizon {
+					break
+				}
+				if gap > 0 {
+					busy = arr
+				}
+				busy += trc
+				k++
+			}
+			s.activateRun(k, dram.Time(k)*trc, busy, out)
+			i += k
+			continue
+		}
+		// Event horizon: precompute start times through the occupancy
+		// recurrence until an arrival reaches the refresh boundary. Within
+		// a refresh-free run busyUntil never exceeds an arrival after the
+		// first ACT (gaps are non-negative and s.now tracks completion),
+		// but the max is kept unconditionally so a generator-driven
+		// negative gap still replays byte-identically to the scalar path.
+		// A dwell weighs the step as ActCycle does: max(tRC, dwell+tRP).
+		busy := s.bank.BusyUntil()
+		now := s.now
+		times := s.runTimes[:0]
+		var dw []dram.Time
+		if dwells != nil {
+			dw = dwells[i : i+lim]
+		}
+		for k, gap := range gaps[i : i+lim] {
+			arr := now + gap
+			if arr >= horizon {
+				break
+			}
+			start := max(arr, busy)
+			busy = start + trc
+			if dw != nil {
+				busy = start + max(dw[k]+trp, trc)
+			}
+			now = busy
+			times = append(times, start)
+		}
+		s.runTimes = times
 
-		consumed := j - i
+		consumed := len(times)
 		vrs := s.vrScratch[:0]
 		if s.mit != nil {
 			var nc int
 			var dcol []dram.Time
 			if dwells != nil {
-				dcol = dwells[i:j]
+				dcol = dwells[i : i+consumed]
 			}
-			vrs, nc = s.mit.AppendOnActivateBatch(vrs, rows[i:j], times, dcol)
+			vrs, nc = s.mit.AppendOnActivateBatch(vrs, rows[i:i+consumed], times, dcol)
 			s.vrScratch = vrs
 			if nc <= 0 || nc > consumed {
 				// A scheme that consumes nothing would spin this loop
@@ -183,10 +149,13 @@ func (s *bankState) replayRun(rows []int32, gaps, dwells []dram.Time, bi int, ou
 			}
 			consumed = nc
 		}
-		end := times[consumed-1] + trc
+		// The consumed prefix's occupancy, weighed the way the walk was.
+		occ, last := dram.Time(consumed)*trc, trc
 		if dwells != nil {
-			if c := dwells[i+consumed-1] + timing.TRP; c > trc {
-				end = times[consumed-1] + c
+			occ = 0
+			for _, d := range dwells[i : i+consumed] {
+				last = max(d+trp, trc)
+				occ += last
 			}
 		}
 
@@ -210,30 +179,30 @@ func (s *bankState) replayRun(rows []int32, gaps, dwells []dram.Time, bi int, ou
 			}
 		}
 
-		if dwells == nil {
-			s.bank.ActivateRun(consumed, end)
-		} else {
-			trp := timing.TRP
-			var busySum dram.Time
-			for _, d := range dwells[i : i+consumed] {
-				cyc := d + trp
-				if cyc < trc {
-					cyc = trc
-				}
-				busySum += cyc
-			}
-			s.bank.ActivateRunOpen(consumed, busySum, end)
-		}
-		out.acts += int64(consumed)
+		s.activateRun(consumed, occ, times[consumed-1]+last, out)
 		if len(vrs) > 0 {
-			if err := s.apply(vrs, end); err != nil {
+			if err := s.apply(vrs, s.now); err != nil {
 				return err
 			}
 		}
-		s.now = end
 		i += consumed
 	}
 	return nil
+}
+
+// activateRun accounts a walked run of count ACTs on the bank — busy is
+// their summed occupancy, end the last one's completion — and, when the
+// run's last ACT made a DDR5 RFM due, issues the RFM right behind it, as
+// replayOne does. s.now moves to when the bank is done with both: the
+// time the run's refreshes apply at.
+func (s *bankState) activateRun(count int, busy, end dram.Time, out *bankOut) {
+	s.bank.ActivateRun(count, busy, end)
+	out.acts += int64(count)
+	s.now = end
+	if s.bank.RFMDue() {
+		// Cannot fail: an RFM is only due when the timing enables RFM.
+		s.now, _ = s.bank.RefreshManagement(end)
+	}
 }
 
 // ColBlockSource streams a trace as columnar per-bank blocks — the shape
@@ -370,9 +339,9 @@ func replayColBlocks(cfg Config, src ColBlockSource, states []*bankState) ([]ban
 // behind a dead consumer.
 //
 // Blocks replay through the batched core (replayRun) — event-horizon runs,
-// one mitigator batch call and one bank accounting call per run. Banks
-// marked useScalar (CRA's per-ACT stall coupling, RFM) keep the per-ACT
-// reference loop.
+// one mitigator batch call and one bank accounting call per run. Only a
+// scheme that reports extra DRAM traffic (CRA's counter cache) replays
+// per ACT through replayOne, because its stall must land between ACTs.
 func replayColBlock(cfg Config, nbanks int, s *bankState, bi int, out *bankOut, blk trace.ColBlock) (err error) {
 	rows := cfg.Geometry.RowsPerBank
 	for _, r := range blk.Rows {
@@ -394,7 +363,7 @@ func replayColBlock(cfg Config, nbanks int, s *bankState, bi int, out *bankOut, 
 	if len(blk.Dwells) != 0 {
 		dwells = blk.Dwells
 	}
-	if s.useScalar {
+	if s.extraFn != nil {
 		for k, r := range blk.Rows {
 			a := trace.Access{Bank: blk.Bank, Row: int(r), Gap: blk.Gaps[k]}
 			if dwells != nil {

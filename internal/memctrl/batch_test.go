@@ -23,31 +23,46 @@ import (
 // prefix, ActivateRun, refresh apply — performs no heap allocation at all
 // (testing.AllocsPerRun must report exactly 0).
 func TestReplayBatchZeroAlloc(t *testing.T) {
-	timing := dram.DDR4()
+	timing, ddr5 := dram.DDR4(), dram.DDR5()
 	cases := []struct {
 		name       string
 		factory    mitigation.Factory
 		hammerPair bool
 		dwell      dram.Time
+		ddr5       bool
 	}{
-		{"unprotected", nil, false, 0},
-		{"graphene-quiet", graphene.Factory(graphene.Config{TRH: 50000, K: 2, Rows: hotRows, Timing: timing}), false, 0},
-		{"graphene-trigger-heavy", graphene.Factory(graphene.Config{TRH: 200, K: 1, Rows: hotRows, Timing: timing}), true, 0},
+		{"unprotected", nil, false, 0, false},
+		{"graphene-quiet", graphene.Factory(graphene.Config{TRH: 50000, K: 2, Rows: hotRows, Timing: timing}), false, 0, false},
+		{"graphene-trigger-heavy", graphene.Factory(graphene.Config{TRH: 200, K: 1, Rows: hotRows, Timing: timing}), true, 0, false},
 		{"stack-quiet", mitigation.StackFactory(
 			trr.Factory(trr.Config{Rows: hotRows, Seed: 7}),
 			graphene.Factory(graphene.Config{TRH: 50000, K: 2, Rows: hotRows, Timing: timing}),
-		), false, 0},
+		), false, 0, false},
 		// Dwell-column legs: the dwell column, the per-ACT ActCycle
 		// horizon walk, and the rowpress weighted-observe path must all
 		// stay allocation-free too.
-		{"unprotected-dwell", nil, false, timing.NRAS()},
+		{"unprotected-dwell", nil, false, timing.NRAS(), false},
 		{"graphene-rowpress-dwell",
 			graphene.Factory(graphene.Config{TRH: 50000, K: 2, Rows: hotRows, Timing: timing, Rowpress: true}),
-			false, 3 * timing.NRAS()},
+			false, 3 * timing.NRAS(), false},
+		// DDR5 legs: back-to-back ACTs on an RFM bank, so every RAAIMT-th
+		// ACT cuts its run and the RFM issues between runs.
+		{"ddr5-unprotected", nil, false, 0, true},
+		{"ddr5-graphene-rowpress-dwell",
+			graphene.Factory(graphene.Config{TRH: 50000, K: 2, Rows: hotRows, Timing: ddr5, Rowpress: true}),
+			false, 2 * ddr5.NRAS(), true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			s := hotState(t, tc.factory)
+			gap := 50 * dram.Nanosecond
+			if tc.ddr5 {
+				bank, err := dram.NewBank(ddr5, hotRows)
+				if err != nil {
+					t.Fatal(err)
+				}
+				s.bank, s.nextREF, gap = bank, ddr5.TREFI, 0
+			}
 			var out bankOut
 			cfg := Config{Geometry: oneBank(hotRows)}
 			const blockLen = 512
@@ -63,7 +78,7 @@ func TestReplayBatchZeroAlloc(t *testing.T) {
 			fill := func(base int) {
 				for j := range blk.Rows {
 					blk.Rows[j] = int32(hotRow(base+j, tc.hammerPair))
-					blk.Gaps[j] = 50 * dram.Nanosecond
+					blk.Gaps[j] = gap
 				}
 				for j := range blk.Dwells {
 					blk.Dwells[j] = tc.dwell
@@ -79,6 +94,7 @@ func TestReplayBatchZeroAlloc(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
+			rfms := s.bank.Stats().RFMCommands
 			allocs := testing.AllocsPerRun(50, func() {
 				fill(i * blockLen)
 				i++
@@ -88,6 +104,9 @@ func TestReplayBatchZeroAlloc(t *testing.T) {
 			})
 			if allocs != 0 {
 				t.Errorf("batched replayColBlock allocated %.2f times per block, want exactly 0", allocs)
+			}
+			if rfm := s.bank.Stats().RFMCommands - rfms; tc.ddr5 && rfm == 0 {
+				t.Error("no RFM issued in the measured window: the DDR5 leg never cut a run")
 			}
 		})
 	}

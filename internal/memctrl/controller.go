@@ -160,7 +160,9 @@ type bankState struct {
 	nextREF dram.Time
 
 	// extraFn reads the scheme's cumulative extra-DRAM-access counter
-	// (CRA's counter-cache traffic); nil for self-contained schemes.
+	// (CRA's counter-cache traffic); nil for self-contained schemes. A
+	// bank with one replays per ACT (replayColBlock), so each stall lands
+	// between its ACTs.
 	extraFn   func() int64
 	lastExtra int64
 
@@ -174,12 +176,6 @@ type bankState struct {
 	vrScratch    []mitigation.VictimRefresh
 	flipStage    []hammer.Flip
 	remapScratch []int
-
-	// useScalar routes this bank's blocks through the per-ACT reference
-	// loop instead of the batched replay core (batch.go): set for schemes
-	// whose extra-DRAM-traffic stall must interleave with every ACT
-	// (CRA's counter cache) and for RFM banks.
-	useScalar bool
 
 	// runTimes holds the precomputed ACT start times of the current
 	// event-horizon run (DESIGN.md §11).
@@ -314,10 +310,6 @@ func run(cfg Config, workload string, replay replayFunc) (Result, error) {
 			// accesses weigh exactly 1, so legacy streams are unchanged.
 			s.oracle.SetNRAS(cfg.Timing.NRAS())
 		}
-		// RFM (DDR5) banks also replay scalar: the RAA threshold check
-		// interleaves with every ACT, which the batched event-horizon walk
-		// cannot express without forking its timing recurrence.
-		s.useScalar = s.extraFn != nil || cfg.Timing.RAAIMT > 0
 		states[i] = s
 	}
 

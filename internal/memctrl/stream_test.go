@@ -202,6 +202,35 @@ func diffCases(t *testing.T) []diffCase {
 		})
 	}
 
+	// DDR5 Graphene whose triggers land on RFM-due ACTs: two hammered
+	// pairs per bank at near-back-to-back gaps, so an NRR and an RFM fall
+	// on the same ACT, the last of a batched run. Both paths issue the RFM
+	// first and apply the NRR after it; TestDDR5TriggerOnRFMACT counts
+	// those ACTs and pins the bank state on each.
+	cases = append(cases, diffCase{
+		name: "ddr5/graphene-rfm-trigger",
+		mkCfg: func() Config {
+			return Config{Geometry: multi, Timing: ddr5, Factory: grapheneFactory(trh, multi.RowsPerBank, ddr5), TRH: trh}
+		},
+		mkGen: func() trace.Generator {
+			var i int64
+			return trace.FromFunc("ddr5-rfm-trigger", func() (trace.Access, bool) {
+				if i >= 60_000 {
+					return trace.Access{}, false
+				}
+				i++
+				a := trace.Access{Bank: int(i % 2), Row: 100 + 2*int(i/2%2), Gap: dram.Time(i%3) * dram.Nanosecond}
+				if i%9 == 0 {
+					a.Row = int(i*37) % multi.RowsPerBank
+				}
+				if i%61 == 0 {
+					a.Gap = dram.Microsecond
+				}
+				return a, true
+			})
+		},
+	})
+
 	// Chunk-boundary lengths: empty trace, one access, one access around a
 	// full chunk, and several chunks plus a partial tail.
 	for _, n := range []int{0, 1, streamChunk - 1, streamChunk, streamChunk + 1, 3*streamChunk + 7} {
@@ -243,6 +272,78 @@ func TestStreamingMatchesBuffered(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestDDR5TriggerOnRFMACT pins what the ddr5/graphene-rfm-trigger leg of
+// diffCases is there for. It replays each bank's ACTs through replayOne
+// and counts the ACTs on which a Graphene trigger and an RFM both land
+// without a refresh-boundary crossing; there must be at least one. The
+// same ACTs replay through replayRun in blocks that end on each such ACT,
+// so it is the last ACT of a batched run, and the bank's clock, busy time
+// and counters must then match replayOne's. The order RFM first, NRR
+// after moves the bank clock that the next arrival counts from, which a
+// Result rarely shows: a later idle refresh absorbs the shift.
+func TestDDR5TriggerOnRFMACT(t *testing.T) {
+	var cfg Config
+	var gen trace.Generator
+	for _, tc := range diffCases(t) {
+		if tc.name == "ddr5/graphene-rfm-trigger" {
+			cfg, gen = tc.mkCfg(), tc.mkGen()
+		}
+	}
+	if gen == nil {
+		t.Fatal("diffCases has no ddr5/graphene-rfm-trigger leg")
+	}
+	perBank := make([][]trace.Access, cfg.Geometry.Banks())
+	for a, ok := gen.Next(); ok; a, ok = gen.Next() {
+		perBank[a.Bank] = append(perBank[a.Bank], a)
+	}
+	newState := func() *bankState {
+		bank, err := dram.NewBank(cfg.Timing, cfg.Geometry.RowsPerBank)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := cfg.Factory()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return &bankState{bank: bank, mit: m, nextREF: cfg.Timing.TREFI}
+	}
+	hits := 0
+	for bi, accs := range perBank {
+		ref, bat := newState(), newState()
+		var refOut, batOut bankOut
+		var rows []int32
+		var gaps []dram.Time
+		for k, a := range accs {
+			before := ref.bank.Stats()
+			if err := ref.replayOne(a, bi, &refOut); err != nil {
+				t.Fatal(err)
+			}
+			rows, gaps = append(rows, int32(a.Row)), append(gaps, a.Gap)
+			after := ref.bank.Stats()
+			hit := after.RFMCommands > before.RFMCommands && after.NRRCommands > before.NRRCommands &&
+				after.REFCommands == before.REFCommands
+			if !hit && k < len(accs)-1 {
+				continue
+			}
+			if hit {
+				hits++
+			}
+			if err := bat.replayRun(rows, gaps, nil, bi, &batOut); err != nil {
+				t.Fatal(err)
+			}
+			rows, gaps = rows[:0], gaps[:0]
+			if bat.now != ref.now || bat.bank.BusyUntil() != ref.bank.BusyUntil() || bat.bank.Stats() != ref.bank.Stats() {
+				t.Fatalf("bank %d ACT %d: batched run ends at now %v busy %v %+v, replayOne at now %v busy %v %+v",
+					bi, k, bat.now, bat.bank.BusyUntil(), bat.bank.Stats(), ref.now, ref.bank.BusyUntil(), ref.bank.Stats())
+			}
+		}
+	}
+	if hits == 0 {
+		t.Fatal("no Graphene trigger landed on an RFM-due ACT")
+	}
+	t.Logf("%d triggers on RFM-due ACTs", hits)
 }
 
 func TestStreamingErrorBehaviorMatchesBuffered(t *testing.T) {
@@ -338,16 +439,23 @@ func TestStreamingPartitionerErrorDrains(t *testing.T) {
 }
 
 // FuzzStreamingMatchesBuffered drives both replay paths with a generated
-// trace shape and requires identical Results (or identical failure).
+// trace shape and requires identical Results (or identical failure). The
+// input also picks the device: the small DDR4-shaped timing, or DDR5,
+// whose RFM cadence (every RAAIMT ACTs) cuts the batched runs.
 func FuzzStreamingMatchesBuffered(f *testing.F) {
-	f.Add(int64(1), uint8(1), uint16(500), uint16(3))
-	f.Add(int64(2), uint8(4), uint16(5000), uint16(97))
-	f.Add(int64(3), uint8(8), uint16(2*streamChunk+5), uint16(13))
-	f.Add(int64(4), uint8(2), uint16(0), uint16(1))
-	f.Fuzz(func(t *testing.T, seed int64, banks uint8, total uint16, stride uint16) {
+	f.Add(int64(1), uint8(1), uint16(500), uint16(3), false)
+	f.Add(int64(2), uint8(4), uint16(5000), uint16(97), false)
+	f.Add(int64(3), uint8(8), uint16(2*streamChunk+5), uint16(13), false)
+	f.Add(int64(4), uint8(2), uint16(0), uint16(1), false)
+	f.Add(int64(5), uint8(1), uint16(5000), uint16(3), true)
+	f.Add(int64(6), uint8(3), uint16(3*streamChunk+1), uint16(7), true)
+	f.Fuzz(func(t *testing.T, seed int64, banks uint8, total uint16, stride uint16, ddr5 bool) {
 		nbanks := int(banks%8) + 1
 		rows := 1 << 10
 		timing := smallTiming()
+		if ddr5 {
+			timing = dram.DDR5()
+		}
 		geo := dram.Geometry{Channels: 1, RanksPerChan: 1, BanksPerRank: nbanks, RowsPerBank: rows}
 		mkGen := func() trace.Generator {
 			var i int64

@@ -3,11 +3,12 @@
 // used for the paper's area comparisons (Table IV, Fig. 9(a)).
 //
 // A Mitigator instance guards a single DRAM bank, mirroring the paper's
-// per-bank counter tables. The memory controller calls AppendOnActivate for
-// every ACT command it issues to that bank and AppendTick at every tREFI
-// (where REF commands are scheduled); the mitigator appends the victim
-// refreshes the controller must perform before the activation stream can
-// continue into a caller-owned buffer that is recycled between calls.
+// per-bank counter tables. The memory controller feeds it that bank's ACT
+// commands in runs through AppendOnActivateBatch (AppendOnActivate only at
+// refresh-boundary crossings and for CRA) and calls AppendTick at every
+// tREFI; the mitigator appends the victim refreshes the controller must
+// perform before the activation stream can continue into a caller-owned
+// buffer that is recycled between calls.
 package mitigation
 
 import "graphene/internal/dram"
@@ -96,8 +97,8 @@ type Mitigator interface {
 	AppendTick(dst []VictimRefresh, now dram.Time) []VictimRefresh
 
 	// Reset clears all tracking state (power-on or test reset). Periodic
-	// reset windows are managed internally by each scheme from the times
-	// passed to AppendOnActivate.
+	// reset windows are managed internally by each scheme from the ACT
+	// times the controller passes in.
 	Reset()
 
 	// Cost reports the scheme's per-bank hardware cost.
