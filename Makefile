@@ -125,12 +125,13 @@ perfbench-build:
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # Race detector over the packages that run per-bank goroutines and the
-# sweep worker pool, plus the mitigation stack fuzz seeds (FuzzStackAppend
+# sweep worker pool, the oracle whose arrays recycle across runs through
+# a shared pool, plus the mitigation stack fuzz seeds (FuzzStackAppend
 # runs its corpus as regular tests here). -short skips the tens-of-seconds
 # full-scale run, which would dominate `make check` under the race
 # detector's overhead.
 race:
-	$(GO) test -race -short ./internal/faultinject/... ./internal/memctrl/... ./internal/sim/... ./internal/sched/... ./internal/mitigation/... ./internal/trace/... ./internal/serve/... ./internal/obs/... ./cmd/rhsimd/... ./cmd/rhload/...
+	$(GO) test -race -short ./internal/faultinject/... ./internal/hammer/... ./internal/memctrl/... ./internal/sim/... ./internal/sched/... ./internal/mitigation/... ./internal/trace/... ./internal/serve/... ./internal/obs/... ./cmd/rhsimd/... ./cmd/rhload/...
 
 # Short exploratory fuzz passes over the core invariants.
 fuzz:
@@ -141,6 +142,7 @@ fuzz:
 	$(GO) test ./internal/trace -fuzz=FuzzBinaryReader -fuzztime=30s -run xxx
 	$(GO) test ./internal/memctrl -fuzz=FuzzStreamingMatchesBuffered -fuzztime=30s -run xxx
 	$(GO) test ./internal/memctrl -fuzz=FuzzBatchSplit -fuzztime=30s -run xxx
+	$(GO) test ./internal/hammer -fuzz=FuzzOracleRunMatchesReference -fuzztime=30s -run xxx
 	$(GO) test ./internal/mitigation -fuzz=FuzzStackAppend -fuzztime=30s -run xxx
 	$(GO) test ./internal/serve -fuzz=FuzzWireSession -fuzztime=30s -run xxx
 

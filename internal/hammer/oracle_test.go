@@ -1,9 +1,12 @@
 package hammer
 
 import (
+	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 
+	"graphene/internal/dram"
 	"graphene/internal/mitigation"
 )
 
@@ -280,5 +283,313 @@ func TestRefreshAtFlipTickNoDoubleReport(t *testing.T) {
 	}
 	if !found {
 		t.Error("later refresh failed to release the latch: no new flip for row 7")
+	}
+}
+
+// refOracle is the per-ACT oracle as it stood before the run entry: three
+// per-row arrays (disturbance, flip latch, flip tick) and one activation
+// at a time. FuzzOracleRunMatchesReference holds the run-level Oracle to
+// it exactly.
+type refOracle struct {
+	rows     int
+	trh      float64
+	distance int
+	mu       []float64
+	nras     dram.Time
+
+	disturb []float64
+	flipped []bool
+	flipAt  []dram.Time
+	flips   []Flip
+	acts    int64
+}
+
+func newRefOracle(rows int, trh int64, distance int, mu mitigation.MuModel, nras dram.Time) *refOracle {
+	if mu == nil {
+		mu = mitigation.UniformMu
+	}
+	mus := make([]float64, distance)
+	for d := 1; d <= distance; d++ {
+		mus[d-1] = mu(d)
+	}
+	return &refOracle{
+		rows: rows, trh: float64(trh), distance: distance, mu: mus, nras: nras,
+		disturb: make([]float64, rows),
+		flipped: make([]bool, rows),
+		flipAt:  make([]dram.Time, rows),
+	}
+}
+
+func (o *refOracle) activate(dst []Flip, row int, now, dwell dram.Time) []Flip {
+	weight := 1.0
+	if dwell != 0 && o.nras > 0 {
+		weight = float64(dwell) / float64(o.nras)
+	}
+	o.acts++
+	for d := 1; d <= o.distance; d++ {
+		for _, v := range [2]int{row - d, row + d} {
+			if v < 0 || v >= o.rows {
+				continue
+			}
+			o.disturb[v] += o.mu[d-1] * weight
+			if o.disturb[v] >= o.trh && !o.flipped[v] {
+				o.flipped[v] = true
+				o.flipAt[v] = now
+				f := Flip{Victim: v, At: now, Disturbance: o.disturb[v]}
+				o.flips = append(o.flips, f)
+				dst = append(dst, f)
+			}
+		}
+	}
+	return dst
+}
+
+func (o *refOracle) refreshRow(row int) {
+	o.disturb[row] = 0
+	o.flipped[row] = false
+}
+
+func (o *refOracle) refreshRowAt(row int, now dram.Time) {
+	o.disturb[row] = 0
+	if o.flipped[row] && now <= o.flipAt[row] {
+		return
+	}
+	o.flipped[row] = false
+}
+
+// topVictims is TopVictims by a full sort: highest first, ties by row.
+func (o *refOracle) topVictims(n int) []VictimReport {
+	var all []VictimReport
+	for row, d := range o.disturb {
+		if d != 0 {
+			all = append(all, VictimReport{Row: row, Disturbance: d})
+		}
+	}
+	sort.SliceStable(all, func(i, j int) bool { return all[i].Disturbance > all[j].Disturbance })
+	if len(all) > n {
+		all = all[:n]
+	}
+	return all
+}
+
+func (o *refOracle) maxDisturbance() (row int, d float64) {
+	for i, v := range o.disturb {
+		if v > d {
+			row, d = i, v
+		}
+	}
+	return row, d
+}
+
+// requireMatchesRef compares every observable of o against ref.
+func requireMatchesRef(t *testing.T, step int, o *Oracle, ref *refOracle) {
+	t.Helper()
+	for row := 0; row < ref.rows; row++ {
+		if got, want := o.Disturbance(row), ref.disturb[row]; got != want {
+			t.Fatalf("step %d: Disturbance(%d) = %v, reference %v", step, row, got, want)
+		}
+	}
+	if !reflect.DeepEqual(o.Flips(), ref.flips) {
+		t.Fatalf("step %d: Flips = %v, reference %v", step, o.Flips(), ref.flips)
+	}
+	if o.FlipCount() != len(ref.flips) || o.ACTs() != ref.acts {
+		t.Fatalf("step %d: FlipCount %d ACTs %d, reference %d %d", step, o.FlipCount(), o.ACTs(), len(ref.flips), ref.acts)
+	}
+	gr, gd := o.MaxDisturbance()
+	wr, wd := ref.maxDisturbance()
+	if gr != wr || gd != wd {
+		t.Fatalf("step %d: MaxDisturbance = %d %v, reference %d %v", step, gr, gd, wr, wd)
+	}
+	if got, want := o.TopVictims(3), ref.topVictims(3); !reflect.DeepEqual(got, want) && !(len(got) == 0 && len(want) == 0) {
+		t.Fatalf("step %d: TopVictims(3) = %v, reference %v", step, got, want)
+	}
+}
+
+// FuzzOracleRunMatchesReference drives the run-level oracle and the
+// per-ACT reference with the same operations — ACT runs fed to
+// AppendActivateRun in random splits, interleaved with refreshes at and
+// after flip ticks — and requires exact equality of every row's
+// disturbance, the flip list and the summary views after each step.
+func FuzzOracleRunMatchesReference(f *testing.F) {
+	f.Add([]byte{0, 5, 9, 1, 2, 3, 4, 5, 6, 7, 8, 2, 3, 0, 1}, uint8(8), uint8(1), false, uint8(0), uint8(3))
+	f.Add([]byte{1, 15, 0, 255, 128, 129, 7, 3, 0, 2, 7, 1, 2, 9, 6, 6}, uint8(0), uint8(2), true, uint8(1), uint8(4))
+	f.Add([]byte{0, 12, 200, 3, 3, 3, 3, 3, 3, 2, 3, 1, 0, 12, 2, 4, 4}, uint8(40), uint8(3), true, uint8(2), uint8(2))
+	f.Add([]byte{0, 31, 17, 128, 255, 64, 9, 2, 1, 3, 0, 31, 3, 9, 0}, uint8(3), uint8(1), false, uint8(3), uint8(7))
+	// Row 5 hammered to TRH at tick 0, victim 4 refreshed at its flip
+	// tick, then hammered again at the same tick: the latch must hold.
+	f.Add([]byte{0, 3, 5, 0, 5, 0, 5, 0, 5, 0, 3, 2, 4, 0, 0, 3, 5, 0, 5, 0, 5, 0, 5, 0, 3}, uint8(8), uint8(0), false, uint8(0), uint8(3))
+	f.Fuzz(func(t *testing.T, ops []byte, rowSel, distSel uint8, nonUniform bool, dwellMode, trhSel uint8) {
+		rows := 4 + int(rowSel)%61
+		dist := 1 + int(distSel)%3
+		var mu mitigation.MuModel = mitigation.UniformMu
+		if nonUniform {
+			mu = mitigation.InverseSquareMu
+		}
+		trh := 1 + int64(trhSel)%24
+		// dwellMode: 0 no column, 1 column without nRAS, 2 and 3 a
+		// column weighed against nRAS (2 leaves some dwells at 0).
+		var nras dram.Time
+		if dwellMode%4 >= 2 {
+			nras = 100
+		}
+		o, err := NewOracle(rows, trh, dist, mu)
+		if err != nil {
+			t.Fatal(err)
+		}
+		o.SetNRAS(nras)
+		ref := newRefOracle(rows, trh, dist, mu, nras)
+
+		pos := 0
+		next := func() int {
+			if pos >= len(ops) {
+				return 0
+			}
+			b := ops[pos]
+			pos++
+			return int(b)
+		}
+		pickRow := func() int {
+			b := next()
+			switch {
+			case b >= 0xf0:
+				return rows - 1
+			case b >= 0xe0:
+				return 0
+			}
+			return b % rows
+		}
+		var now dram.Time
+		for step := 0; pos < len(ops); step++ {
+			switch next() % 4 {
+			case 0, 1: // an ACT run, split at random into AppendActivateRun calls
+				n := 1 + next()%24
+				runRows := make([]int32, n)
+				times := make([]dram.Time, n)
+				var dwells []dram.Time
+				if dwellMode%4 != 0 {
+					dwells = make([]dram.Time, n)
+				}
+				for k := range runRows {
+					runRows[k] = int32(pickRow())
+					now += dram.Time(next() % 3) // repeated ticks included
+					times[k] = now
+					if dwells != nil {
+						dwells[k] = dram.Time(next()%4) * 75
+						if dwellMode%4 == 3 && dwells[k] == 0 {
+							dwells[k] = 100
+						}
+					}
+				}
+				var want, got []Flip
+				for k := range runRows {
+					var dw dram.Time
+					if dwells != nil {
+						dw = dwells[k]
+					}
+					want = ref.activate(want, int(runRows[k]), times[k], dw)
+				}
+				for lo := 0; lo < n; {
+					hi := min(n, lo+1+next()%n)
+					var dcol []dram.Time
+					if dwells != nil {
+						dcol = dwells[lo:hi]
+					}
+					got = o.AppendActivateRun(got, runRows[lo:hi], times[lo:hi], dcol)
+					lo = hi
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("step %d: run appended %v, reference %v", step, got, want)
+				}
+			case 2: // a refresh at the row's flip tick, or after it
+				row := pickRow()
+				var at dram.Time
+				if next()%2 == 0 && ref.flipped[row] {
+					at = ref.flipAt[row]
+				} else {
+					now++
+					at = now
+				}
+				o.RefreshRowAt(row, at)
+				ref.refreshRowAt(row, at)
+			case 3:
+				row := pickRow()
+				o.RefreshRow(row)
+				ref.refreshRow(row)
+			}
+			requireMatchesRef(t, step, o, ref)
+		}
+	})
+}
+
+// TestReleaseRecyclesClean is the recycling contract: an oracle built
+// after another of the same row count was released — holding latched
+// rows and high disturbance — starts from nothing and flips again at
+// TRH; a different row count gets an array of its own size. Whether the
+// array was actually reused is not asserted (sync.Pool may drop entries
+// at any time, and does so at random under -race).
+func TestReleaseRecyclesClean(t *testing.T) {
+	const rows, trh = 64, 10
+	for round := 0; round < 20; round++ {
+		o := mustOracle(t, rows, trh, 2, nil)
+		for i := 0; i < 3*trh; i++ {
+			o.AppendActivate(nil, 0, dram.Time(i))
+			o.AppendActivate(nil, rows-1, dram.Time(i))
+			o.AppendActivate(nil, 20+round, dram.Time(i))
+		}
+		if o.FlipCount() == 0 {
+			t.Fatal("setup: hammering did not latch any row")
+		}
+		o.Release()
+
+		n := mustOracle(t, rows, trh, 2, nil)
+		if n.FlipCount() != 0 || n.ACTs() != 0 || len(n.Flips()) != 0 {
+			t.Fatalf("round %d: recycled oracle reports flips %d acts %d", round, n.FlipCount(), n.ACTs())
+		}
+		for row := 0; row < rows; row++ {
+			if d := n.Disturbance(row); d != 0 {
+				t.Fatalf("round %d: recycled oracle row %d disturbance %v", round, row, d)
+			}
+		}
+		if _, d := n.MaxDisturbance(); d != 0 || len(n.TopVictims(3)) != 0 {
+			t.Fatalf("round %d: recycled oracle has residual disturbance %v", round, d)
+		}
+		// The rows the released oracle latched flip again at TRH.
+		var flips []Flip
+		for i := 0; i < trh; i++ {
+			flips = n.AppendActivate(flips, 0, dram.Time(i))
+		}
+		if len(flips) != 2 || flips[0].Victim != 1 || flips[1].Victim != 2 || flips[0].At != trh-1 || flips[1].At != trh-1 {
+			t.Fatalf("round %d: recycled oracle flips %v, want rows 1 and 2 at tick %d", round, flips, trh-1)
+		}
+		n.Release()
+
+		for _, other := range []int{rows / 2, rows * 2} {
+			m := mustOracle(t, other, trh, 1, nil)
+			if m.Rows() != other {
+				t.Fatalf("Rows = %d, want %d", m.Rows(), other)
+			}
+			m.AppendActivate(nil, other-1, 0)
+			if d := m.Disturbance(other - 2); d != 1 {
+				t.Fatalf("%d-row oracle: disturbance %v after one ACT, want 1", other, d)
+			}
+			m.Release()
+		}
+	}
+}
+
+func TestAppendActivateRunPanicsOutOfRange(t *testing.T) {
+	o := mustOracle(t, 16, 10, 1, nil)
+	for _, row := range []int32{-1, 16} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("row %d: no panic", row)
+				}
+			}()
+			o.AppendActivateRun(nil, []int32{row}, []dram.Time{0}, nil)
+		}()
+	}
+	if _, d := o.MaxDisturbance(); d != 0 {
+		t.Errorf("out-of-range rows disturbed the bank: max %v", d)
 	}
 }

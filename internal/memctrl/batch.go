@@ -34,9 +34,10 @@ const maxBatchRun = 4096
 //     consumes ACTs until its first append (the batch contract: an applied
 //     refresh changes the bank timeline, so later precomputed times would
 //     go stale);
-//  3. feeds the consumed prefix to the oracle, accounts the bank's ACT
-//     run and the RFM it made due (activateRun), and applies any
-//     refreshes after both — when and in the order the scalar path would.
+//  3. feeds the consumed prefix to the oracle in one AppendActivateRun
+//     call, accounts the bank's ACT run and the RFM it made due
+//     (activateRun), and applies any refreshes after both — when and in
+//     the order the scalar path would.
 //
 // An ACT that crosses a refresh boundary replays through the scalar
 // replayOne, which runs catchUpREF and everything else; runs resume after
@@ -160,21 +161,32 @@ func (s *bankState) replayRun(rows []int32, gaps, dwells []dram.Time, bi int, ou
 		}
 
 		if s.oracle != nil || s.remap != nil {
-			nrows := s.bank.Rows()
-			for k := 0; k < consumed; k++ {
-				physRow := s.phys(int(rows[i+k]))
-				if physRow < 0 || physRow >= nrows {
-					return fmt.Errorf("memctrl: bank %d: activate row %d out of range [0,%d)", bi, physRow, nrows)
+			// The oracle lives in physical space: a remapped bank translates
+			// the prefix into a recycled physical-row column first. Logical
+			// rows were range-validated upstream; their physical images are
+			// checked here.
+			prow := rows[i : i+consumed]
+			if s.remap != nil {
+				nrows := s.bank.Rows()
+				phys := s.physRows[:0]
+				for _, r := range prow {
+					physRow := s.remap.ToPhysical(int(r))
+					if physRow < 0 || physRow >= nrows {
+						return fmt.Errorf("memctrl: bank %d: activate row %d out of range [0,%d)", bi, physRow, nrows)
+					}
+					phys = append(phys, int32(physRow))
 				}
-				if s.oracle != nil {
-					var dw dram.Time
-					if dwells != nil {
-						dw = dwells[i+k]
-					}
-					s.flipStage = s.oracle.AppendActivateOpen(s.flipStage[:0], physRow, times[k], dw)
-					for _, f := range s.flipStage {
-						out.flips = append(out.flips, BankFlip{Bank: bi, Flip: f})
-					}
+				s.physRows = phys
+				prow = phys
+			}
+			if s.oracle != nil {
+				var dcol []dram.Time
+				if dwells != nil {
+					dcol = dwells[i : i+consumed]
+				}
+				s.flipStage = s.oracle.AppendActivateRun(s.flipStage[:0], prow, times[:consumed], dcol)
+				for _, f := range s.flipStage {
+					out.flips = append(out.flips, BankFlip{Bank: bi, Flip: f})
 				}
 			}
 		}

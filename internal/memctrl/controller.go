@@ -170,20 +170,23 @@ type bankState struct {
 
 	// Recycled scratch buffers (API v2, DESIGN.md §9): the steady-state
 	// replay loop hands vrScratch to the mitigator's Append methods,
-	// flipStage to the oracle, and remapScratch to the explicit-row remap
-	// translation, so after warmup no per-ACT heap allocation remains
+	// flipStage to the oracle, remapScratch to the explicit-row remap
+	// translation, and physRows to a remapped run's translation for the
+	// oracle, so after warmup no per-ACT heap allocation remains
 	// (TestReplayHotPathZeroAlloc pins this with testing.AllocsPerRun).
 	vrScratch    []mitigation.VictimRefresh
 	flipStage    []hammer.Flip
 	remapScratch []int
+	physRows     []int32
 
 	// runTimes holds the precomputed ACT start times of the current
 	// event-horizon run (DESIGN.md §11).
 	runTimes []dram.Time
 
-	// Batch-of-one scratch: the scalar replayOne routes a dwell-carrying
-	// ACT through the mitigator's batch entry point (the only one that
-	// accepts a dwell column) without allocating.
+	// Batch-of-one scratch: the scalar replayOne routes its ACT through
+	// the oracle's run entry, and a dwell-carrying ACT through the
+	// mitigator's batch entry point (the only one that accepts a dwell
+	// column), without allocating.
 	oneRow   [1]int32
 	oneNow   [1]dram.Time
 	oneDwell [1]dram.Time
@@ -377,6 +380,9 @@ func run(cfg Config, workload string, replay replayFunc) (Result, error) {
 			for _, v := range top {
 				res.TopVictims = append(res.TopVictims, BankVictim{Bank: bi, VictimReport: v})
 			}
+			// The final read: the oracle's array goes back to the pool
+			// for the next run of this geometry.
+			s.oracle.Release()
 		}
 		if s.extraFn != nil {
 			res.ExtraDRAMAccesses += s.extraFn()
@@ -426,7 +432,10 @@ func (s *bankState) replayOne(a trace.Access, bi int, out *bankOut) error {
 		// word-line adjacency, not controller addressing. Flips stage
 		// through the recycled buffer; out.flips only grows when a scheme
 		// actually failed.
-		s.flipStage = s.oracle.AppendActivateOpen(s.flipStage[:0], physRow, start, a.Dwell)
+		s.oneRow[0] = int32(physRow)
+		s.oneNow[0] = start
+		s.oneDwell[0] = a.Dwell
+		s.flipStage = s.oracle.AppendActivateRun(s.flipStage[:0], s.oneRow[:], s.oneNow[:], s.oneDwell[:])
 		for _, f := range s.flipStage {
 			out.flips = append(out.flips, BankFlip{Bank: bi, Flip: f})
 		}

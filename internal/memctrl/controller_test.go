@@ -1,10 +1,12 @@
 package memctrl
 
 import (
+	"fmt"
 	"math"
 	"runtime"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 
 	"graphene/internal/cra"
@@ -456,5 +458,79 @@ func TestPerBankBreakdownLocalizesAttack(t *testing.T) {
 	}
 	if res.PerBank[2].ACTs != 100_000 {
 		t.Errorf("bank 2 ACTs = %d", res.PerBank[2].ACTs)
+	}
+}
+
+// TestConcurrentRunsMatchSerial runs the same oracle-armed multi-bank
+// config several times at once. Released oracles hand their arrays to
+// the next run of the same geometry, so state leaking through that
+// recycling, or a read of an oracle after its release, would make a
+// concurrent Result differ from the serial one.
+func TestConcurrentRunsMatchSerial(t *testing.T) {
+	timing := smallTiming()
+	const rows, trh, banks = 1 << 12, 2000, 4
+	geo := dram.Geometry{Channels: 1, RanksPerChan: 1, BanksPerRank: banks, RowsPerBank: rows}
+	total := int64(40_000)
+	if testing.Short() {
+		total = 16_000
+	}
+	mk := func() trace.Generator {
+		var i int64
+		return trace.FromFunc("concurrent", func() (trace.Access, bool) {
+			if i >= total {
+				return trace.Access{}, false
+			}
+			i++
+			bank := int(i % banks)
+			// Every bank hammers its own row, with scattered rows between.
+			row := 300 + 700*bank
+			if i%5 == 0 {
+				row = int((i * 31) % rows)
+			}
+			return trace.Access{Bank: bank, Row: row}, true
+		})
+	}
+	for _, tc := range []struct {
+		name    string
+		factory mitigation.Factory
+	}{
+		{"unprotected", nil},
+		{"graphene", graphene.Factory(graphene.Config{TRH: trh, K: 2, Rows: rows, Timing: timing})},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := Config{Geometry: geo, Timing: timing, Factory: tc.factory, TRH: trh}
+			serial, err := Run(cfg, mk())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if serial.MaxDisturbance == 0 || len(serial.TopVictims) == 0 {
+				t.Fatalf("serial run reports no disturbance: %+v", serial)
+			}
+			if tc.factory == nil && len(serial.Flips) == 0 {
+				t.Fatal("unprotected serial run did not flip")
+			}
+			want := fmt.Sprintf("%+v", serial)
+
+			const workers, runs = 4, 3
+			var wg sync.WaitGroup
+			for w := 0; w < workers; w++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for r := 0; r < runs; r++ {
+						res, err := Run(cfg, mk())
+						if err != nil {
+							t.Error(err)
+							return
+						}
+						if got := fmt.Sprintf("%+v", res); got != want {
+							t.Errorf("concurrent run differs from serial:\n got %s\nwant %s", got, want)
+							return
+						}
+					}
+				}()
+			}
+			wg.Wait()
+		})
 	}
 }
